@@ -11,12 +11,10 @@ from .features import FeatureExtractor, FeatureRegistry, PmiTable, default_regis
 from .kb_store import NIL, AnchorIndex, Candidate, KbEntry, build_index, load_kb_jsonl
 from .maxent import Model, Prediction, decode, nil_cluster, train
 from .segmenter import (
-    CandidateTuple,
     ConnectedComponent,
     Mention,
     MentionDocument,
     connected_components,
-    enumerate_tuples,
     load_documents,
 )
 from .text_vsm import cosine, tokenize
@@ -26,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorIndex",
     "Candidate",
-    "CandidateTuple",
     "ConnectedComponent",
     "EvalReport",
     "FeatureExtractor",
@@ -46,7 +43,6 @@ __all__ = [
     "cosine",
     "decode",
     "default_registry",
-    "enumerate_tuples",
     "load_documents",
     "load_kb_jsonl",
     "nil_cluster",

@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--gap", type=int, default=4)
     p_train.add_argument("--window", type=int, default=100)
     p_train.add_argument("--top-n", type=int, default=200)
-    p_train.add_argument("--budget", type=int, default=100_000)
     p_train.add_argument("--stopwords", default=None, help="optional one-token-per-line file")
     p_train.add_argument("--blacklist-threshold", type=float, default=0.05)
     p_train.add_argument("--tol", type=float, default=1e-6)
@@ -113,7 +112,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         gap=args.gap,
         context_window=args.window,
         top_n=args.top_n,
-        tuple_budget=args.budget,
     )
     config.validate()
     return config

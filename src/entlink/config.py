@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+
+from .kb_store import FormatVersionError
 
 
 @dataclass(frozen=True)
@@ -14,7 +16,6 @@ class PipelineConfig:
     gap: int = 4                 # max tokens between mentions in one component
     context_window: int = 100    # total tokens around a mention, half per side
     top_n: int = 200             # size of the top-terms page vector
-    tuple_budget: int = 100_000  # max joint assignments enumerated per component
 
     def validate(self) -> None:
         if self.sigma <= 0:
@@ -27,14 +28,25 @@ class PipelineConfig:
             raise ValueError("context_window must be a positive even number")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if self.tuple_budget < 1:
-            raise ValueError("tuple_budget must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
+        """Config from a saved dict. A missing, unknown or mistyped key
+        raises FormatVersionError; an out-of-range value, ValueError."""
+        if not isinstance(data, dict):
+            raise FormatVersionError("config must be a JSON object")
+        types = {f.name: f.type for f in fields(PipelineConfig)}
+        if set(data) != set(types):
+            raise FormatVersionError(
+                f"config keys {sorted(data)} do not match {sorted(types)}"
+            )
+        for name, value in data.items():
+            allowed = (int, float) if types[name] == "float" else (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise FormatVersionError(f"config {name!r} has the wrong type: {value!r}")
         config = PipelineConfig(**data)
         config.validate()
         return config

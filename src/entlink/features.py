@@ -4,7 +4,9 @@ Every feature measures overlap between document text and KB-entry text or
 structure; none consults a hard-coded word list (the optional stop-word set is
 the only lexical resource). Real-valued features are summed over the mentions
 (or consecutive candidate pairs) of an assignment; boolean features combine
-with AND.
+with AND. A component's features therefore form a linear chain
+(`ComponentChain`): unary rows per mention, pair blocks per consecutive pair
+of mentions, and one bitmask of true booleans per candidate.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kb_store import NIL, AnchorIndex, Candidate, normalize_name
-from .segmenter import CandidateTuple, ConnectedComponent, Mention, MentionDocument
+from .segmenter import ConnectedComponent, Mention, MentionDocument
 from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize
 
 COSINE_FEATURES = (
@@ -302,6 +304,11 @@ class FeatureExtractor:
         self.window = window
         self.top_n = top_n
         self._idx = {name: self.registry.index(name) for name in self.registry.names}
+        bool_idx = self.registry.boolean_indices
+        masks = np.arange(1 << bool_idx.size)
+        # row m: the boolean features of an assignment whose ANDed bitmask is m
+        self._mask_features = np.zeros((masks.size, len(self.registry)))
+        self._mask_features[:, bool_idx] = (masks[:, None] >> np.arange(bool_idx.size)) & 1
         self._entity_text: dict[str, TermVector] = {}
         self._entity_top: dict[str, TermVector] = {}
         self._entity_tokens: dict[str, list] = {}
@@ -477,28 +484,68 @@ class FeatureExtractor:
         self._pair_vectors[key] = vec
         return vec
 
-    def tuple_features(
-        self, t: CandidateTuple, component: ConnectedComponent, view: DocumentView
-    ) -> np.ndarray:
-        """Aggregate feature vector for one joint assignment.
-
-        Real features sum over the mentions and consecutive pairs; boolean
-        features are 1.0 only when the predicate holds at every mention.
-        """
+    def component_chain(
+        self,
+        component: ConnectedComponent,
+        lists: Sequence[Sequence[Candidate]],
+        view: DocumentView,
+    ) -> "ComponentChain":
+        """Feature blocks of a component over the given per-mention
+        candidate lists; they do not depend on the model weights."""
         mentions = component.mentions
-        if len(t.assignments) != len(mentions):
+        if len(lists) != len(mentions) or not all(lists):
             raise ValueError(
-                f"assignment arity {len(t.assignments)} != component size {len(mentions)}"
+                f"need one non-empty candidate list per mention, got {len(lists)} "
+                f"for {len(mentions)} mentions"
             )
-        parts = [
-            self._mention_entity(m, c, view) for m, c in zip(mentions, t.assignments)
-        ]
-        out = np.zeros(len(self.registry))
-        for part in parts:
-            out += part
+        rows = np.stack(
+            [self._mention_entity(m, c, view) for m, lst in zip(mentions, lists) for c in lst]
+        )
         bool_idx = self.registry.boolean_indices
-        if parts and bool_idx.size:
-            out[bool_idx] = np.stack([p[bool_idx] for p in parts]).min(axis=0)
-        for left, right in zip(t.assignments, t.assignments[1:]):
-            out += self._pair(left.entity_id, right.entity_id)
-        return out
+        bits = (rows[:, bool_idx] != 0.0) @ (1 << np.arange(bool_idx.size))
+        rows[:, bool_idx] = 0.0
+        pairs = tuple(
+            np.stack([np.stack([self._pair(a.entity_id, b.entity_id) for b in right]) for a in left])
+            for left, right in zip(lists, lists[1:])
+        )
+        return ComponentChain(
+            sizes=tuple(len(lst) for lst in lists),
+            features=rows,
+            pairs=pairs,
+            bits=bits.astype(np.intp),
+            mask_features=self._mask_features,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ComponentChain:
+    """The features of one component, laid out as a linear chain.
+
+    An assignment picks one candidate position per mention. Its aggregate
+    feature vector is the sum of its candidates' unary rows, of the pair rows
+    at its consecutive choices, and of the `mask_features` row at the AND of
+    its candidates' `bits` (bit j set when the j-th boolean feature of the
+    registry holds). Unary rows carry zeros in the boolean columns, so each
+    boolean feature is 1.0 only when it holds at every mention.
+    """
+
+    sizes: tuple[int, ...]          # candidates per mention
+    features: np.ndarray            # (sum(sizes), F) unary rows, mention by mention
+    pairs: tuple[np.ndarray, ...]   # (sizes[i], sizes[i + 1], F) per consecutive pair
+    bits: np.ndarray                # (sum(sizes),) boolean bitmask per candidate
+    mask_features: np.ndarray       # (2 ** n_booleans, F) features of each AND mask
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Row of each mention's first candidate in `features` and `bits`."""
+        return np.cumsum((0,) + self.sizes[:-1])
+
+    def assignment_features(self, choice: Sequence[int]) -> np.ndarray:
+        """Aggregate feature vector of one assignment (a position per mention)."""
+        if len(choice) != len(self.sizes) or not all(0 <= c < k for c, k in zip(choice, self.sizes)):
+            raise ValueError(f"assignment {tuple(choice)} does not fit candidate counts {self.sizes}")
+        rows = self.offsets + np.asarray(choice)
+        out = self.features[rows].sum(axis=0)
+        for block, a, b in zip(self.pairs, choice, choice[1:]):
+            out += block[a, b]
+        return out + self.mask_features[np.bitwise_and.reduce(self.bits[rows])]

@@ -235,16 +235,29 @@ class AnchorIndex:
 
     @staticmethod
     def from_bytes(blob: bytes) -> "AnchorIndex":
+        """Rebuild an index from `to_bytes` output; a corrupt or incompatible
+        blob raises FormatVersionError (or KbError for invalid records)."""
         if blob[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
             raise FormatVersionError("not an anchor-index file")
-        (version,) = struct.unpack_from("<I", blob, len(_INDEX_MAGIC))
-        if version != INDEX_FORMAT_VERSION:
-            raise FormatVersionError(
-                f"index format version {version}, expected {INDEX_FORMAT_VERSION}"
-            )
-        payload = json.loads(zlib.decompress(blob[len(_INDEX_MAGIC) + 4:]).decode("utf-8"))
-        records = [KbEntry.from_record({"id": eid, **rec}) for eid, rec in payload["entries"].items()]
-        return build_index(records, max_candidates=payload["max_candidates"])
+        try:
+            (version,) = struct.unpack_from("<I", blob, len(_INDEX_MAGIC))
+            if version != INDEX_FORMAT_VERSION:
+                raise FormatVersionError(
+                    f"index format version {version}, expected {INDEX_FORMAT_VERSION}"
+                )
+            payload = json.loads(zlib.decompress(blob[len(_INDEX_MAGIC) + 4:]).decode("utf-8"))
+            records = [KbEntry.from_record({"id": eid, **rec}) for eid, rec in payload["entries"].items()]
+            return build_index(records, max_candidates=payload["max_candidates"])
+        except (
+            zlib.error,
+            struct.error,
+            UnicodeDecodeError,
+            json.JSONDecodeError,
+            KeyError,
+            TypeError,
+            AttributeError,
+        ) as exc:
+            raise FormatVersionError(f"corrupt anchor-index file ({type(exc).__name__}: {exc})") from None
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

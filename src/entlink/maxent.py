@@ -1,6 +1,7 @@
-"""Collective max-ent classifier: assignment probabilities, the regularized
-conditional log-likelihood objective, quasi-Newton training, and per-component
-decoding.
+"""Collective max-ent classifier: exact inference over each component's
+linear chain (max-product to decode, forward-backward for log Z and the
+expected features), the regularized conditional log-likelihood objective,
+quasi-Newton training, and per-component decoding.
 
 Objective and gradient sums run in a fixed instance order, so training is
 bit-reproducible for a given data order. A trained Model is immutable and may
@@ -9,7 +10,6 @@ be read concurrently; decoding different documents in parallel is safe.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -18,18 +18,18 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import PipelineConfig
-from .features import FeatureExtractor, FeatureRegistry, PmiTable, default_registry, train_pmi
-from .kb_store import NIL, AnchorIndex, Candidate, FormatVersionError, normalize_name
-from .segmenter import (
-    CandidateTuple,
-    ConnectedComponent,
-    MentionDocument,
-    candidate_lists,
-    connected_components,
-    enumerate_tuples,
+from .features import (
+    ComponentChain,
+    FeatureExtractor,
+    FeatureRegistry,
+    PmiTable,
+    default_registry,
+    train_pmi,
 )
+from .kb_store import NIL, AnchorIndex, Candidate, FormatVersionError, normalize_name
+from .segmenter import MentionDocument, candidate_lists, connected_components
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class TrainingError(RuntimeError):
@@ -73,36 +73,41 @@ class Model:
 
     @staticmethod
     def load(path: str) -> "Model":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise FormatVersionError(f"model format version {version}, expected {MODEL_FORMAT_VERSION}")
-        return Model(
-            weights=np.array(payload["weights"], dtype=float),
-            sigma=float(payload["sigma"]),
-            registry=FeatureRegistry.from_list(payload["registry"]),
-            pmi=PmiTable.from_payload(payload["pmi"]),
-            config=PipelineConfig.from_dict(payload["config"]),
-        )
+        """Read a saved model; a corrupt or incompatible file raises
+        FormatVersionError (or ValueError for out-of-range values)."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            payload = json.loads(blob.decode("utf-8"))
+            version = payload.get("format_version")
+            if version != MODEL_FORMAT_VERSION:
+                raise FormatVersionError(f"model format version {version}, expected {MODEL_FORMAT_VERSION}")
+            registry = FeatureRegistry.from_list(payload["registry"])
+            if set(registry.names) != set(default_registry().names):
+                raise FormatVersionError("model features do not match this version's feature set")
+            return Model(
+                weights=np.array(payload["weights"], dtype=float),
+                sigma=float(payload["sigma"]),
+                registry=registry,
+                pmi=PmiTable.from_payload(payload["pmi"]),
+                config=PipelineConfig.from_dict(payload["config"]),
+            )
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+            raise FormatVersionError(f"{path}: not a valid model file ({type(exc).__name__}: {exc})") from None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrainingInstance:
-    """One connected component with its candidate assignments and gold index."""
+    """One gold-labeled component: its chain's states and the aggregate
+    feature vector of its gold assignment."""
 
-    features: np.ndarray  # (n_tuples, n_features)
-    gold_index: int
-    tuples: list[CandidateTuple] | None = None
-    component: ConnectedComponent | None = None
-    doc_id: str | None = None
-    gold_injected: bool = False
+    states: "ChainStates"
+    gold_features: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
-            raise ValueError("instance needs a non-empty (tuples x features) matrix")
-        if not (0 <= self.gold_index < self.features.shape[0]):
-            raise ValueError("gold index out of range")
+    @property
+    def features(self) -> np.ndarray:
+        """Unary rows of the chain, one per (mention, candidate)."""
+        return self.states.chain.features
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -114,9 +119,113 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def tuple_probability(weights: np.ndarray, features: np.ndarray, index: int) -> float:
-    """Probability of the assignment at `index` among all rows of `features`."""
-    return float(softmax(features @ weights)[index])
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    top = a.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
+    return out.item() if axis is None else out.squeeze(axis)
+
+
+class ChainStates:
+    """Inference over a `ComponentChain`, exact in time linear in its length.
+
+    A state at mention i is a (candidate, mask) pair: the mask is the AND of
+    the boolean bits of the candidates chosen at mentions 0..i, so the last
+    state's mask gives the assignment's boolean features. Only reachable
+    states are kept, at most 2**n_booleans per candidate. Every assignment
+    is one path through the states, so max-product gives the best assignment
+    and sum-product gives log Z and the marginals (Lafferty, McCallum and
+    Pereira 2001, with the mask added to the state).
+    """
+
+    def __init__(self, chain: ComponentChain):
+        self.chain = chain
+        n_masks = chain.mask_features.shape[0]
+        offsets = chain.offsets
+        cand, mask = np.arange(chain.sizes[0]), chain.bits[: chain.sizes[0]]
+        self.cand = [cand]  # per mention: each state's position in the candidate list
+        self.rows = [cand]  # per mention: each state's row in chain.features
+        self.pair_rows: list[np.ndarray] = []  # per step (S_i, S_i+1): row in pair_features
+        self.blocked: list[np.ndarray] = []    # per step (S_i, S_i+1): -inf where t cannot follow s
+        pair_offset = 0
+        for i, k in enumerate(chain.sizes[1:], start=1):
+            after = mask[:, None] & chain.bits[offsets[i]:offsets[i] + k][None, :]
+            nxt_cand, nxt_mask = np.divmod(np.unique(np.arange(k) * n_masks + after), n_masks)
+            self.pair_rows.append(pair_offset + cand[:, None] * k + nxt_cand[None, :])
+            self.blocked.append(np.where(after[:, nxt_cand] == nxt_mask[None, :], 0.0, -np.inf))
+            pair_offset += chain.sizes[i - 1] * k
+            cand, mask = nxt_cand, nxt_mask
+            self.cand.append(cand)
+            self.rows.append(offsets[i] + cand)
+        self.last_mask = mask
+        n_features = chain.features.shape[1]
+        self.pair_features = np.concatenate(
+            [block.reshape(-1, n_features) for block in chain.pairs] or [np.zeros((0, n_features))]
+        )
+        self._all_rows = np.concatenate(self.rows)
+        self._all_pair_rows = np.concatenate([r.ravel() for r in self.pair_rows] or [np.zeros(0, np.intp)])
+
+    def potentials(self, weights: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """Log-potentials: the first mention's state scores, one transition
+        matrix per consecutive pair (-inf where a state cannot follow), and
+        the boolean features' score at each of the last mention's states."""
+        unary = self.chain.features @ weights
+        pair = self.pair_features @ weights
+        transitions = [
+            pair[rows] + unary[dst] + blocked
+            for rows, dst, blocked in zip(self.pair_rows, self.rows[1:], self.blocked)
+        ]
+        return unary[self.rows[0]], transitions, (self.chain.mask_features @ weights)[self.last_mask]
+
+    @staticmethod
+    def backward(transitions: list[np.ndarray], end: np.ndarray, reduce) -> list[np.ndarray]:
+        """Per mention, the reduced (max or log-sum) score of every way to
+        finish the chain from each state."""
+        beta = [end]
+        for trans in reversed(transitions):
+            beta.append(reduce(trans + beta[-1][None, :], axis=1))
+        return beta[::-1]
+
+    def decode(self, weights: np.ndarray, ids: Sequence[Sequence[str]]) -> tuple[list[int], float]:
+        """Best assignment (candidate positions) and its probability.
+
+        Among assignments with exactly the best score, the smallest id
+        sequence wins: each mention takes the smallest id among the choices
+        that still reach the best score.
+        """
+        start, transitions, end = self.potentials(weights)
+        best_rest = self.backward(transitions, end, np.maximum.reduce)
+        log_z = _logsumexp(start + self.backward(transitions, end, _logsumexp)[0])
+        scores = start + best_rest[0]
+        best = float(scores.max())
+        choice = []
+        for i, cand in enumerate(self.cand):
+            tied = np.flatnonzero(scores == scores.max())
+            state = min(tied, key=lambda t: ids[i][cand[t]])
+            choice.append(int(cand[state]))
+            if i < len(transitions):
+                scores = transitions[i][state] + best_rest[i + 1]
+        return choice, float(np.exp(best - log_z))
+
+    def log_z_and_expectation(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
+        """log Z and the expected aggregate feature vector E_P[f]."""
+        chain = self.chain
+        start, transitions, end = self.potentials(weights)
+        beta = self.backward(transitions, end, _logsumexp)
+        alpha = [start]
+        for trans in transitions:
+            alpha.append(_logsumexp(alpha[-1][:, None] + trans, axis=0))
+        log_z = _logsumexp(start + beta[0])
+        states = np.exp(np.concatenate(alpha) + np.concatenate(beta) - log_z)
+        expected = np.bincount(self._all_rows, states, minlength=len(chain.features)) @ chain.features
+        if transitions:
+            joint = np.concatenate([
+                (a[:, None] + trans + b[None, :]).ravel() for a, trans, b in zip(alpha, transitions, beta[1:])
+            ])
+            pairs = np.bincount(self._all_pair_rows, np.exp(joint - log_z), minlength=len(self.pair_features))
+            expected += pairs @ self.pair_features
+        last = states[states.size - self.last_mask.size:]
+        expected += np.bincount(self.last_mask, last, minlength=len(chain.mask_features)) @ chain.mask_features
+        return log_z, expected
 
 
 def cll_objective(
@@ -131,12 +240,9 @@ def cll_objective(
     value = -sigma * float(weights @ weights)
     grad = -2.0 * sigma * weights
     for inst in instances:
-        scores = inst.features @ weights
-        shifted = scores - scores.max()
-        log_z = float(np.log(np.sum(np.exp(shifted))))
-        probs = np.exp(shifted - log_z)
-        value += float(shifted[inst.gold_index]) - log_z
-        grad = grad + (inst.features[inst.gold_index] - probs @ inst.features)
+        log_z, expected = inst.states.log_z_and_expectation(weights)
+        value += float(inst.gold_features @ weights) - log_z
+        grad = grad + (inst.gold_features - expected)
     return value, grad
 
 
@@ -153,21 +259,30 @@ def fit_weights(
 
     Returns (weights, per-iterate objective trace, converged). The objective
     is concave, so any stationary point is the global optimum; accepted steps
-    never decrease the objective.
+    never decrease the objective. The trace and the convergence test reuse
+    the optimizer's own evaluation at each accepted iterate.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
 
+    last: list = []  # [w, value, grad] of the latest evaluation
+
+    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
+        if not last or not np.array_equal(w, last[0]):
+            value, grad = cll_objective(w, instances, sigma)
+            if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+                raise TrainingError("non-finite objective during line search")
+            last[:] = [np.array(w, dtype=float), value, grad]
+        return last[1], last[2]
+
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = cll_objective(w, instances, sigma)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise TrainingError("non-finite objective during line search")
+        value, grad = evaluate(w)
         return -value, -grad
 
     trace: list[float] = []
 
     def record(w: np.ndarray) -> None:
-        trace.append(cll_objective(w, instances, sigma)[0])
+        trace.append(evaluate(w)[0])
 
     start = np.zeros(dim)
     record(start)
@@ -180,7 +295,7 @@ def fit_weights(
         options={"maxcor": history, "maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
     )
     weights = np.asarray(result.x, dtype=float)
-    _, grad = cll_objective(weights, instances, sigma)
+    _, grad = evaluate(weights)
     converged = bool(np.max(np.abs(grad), initial=0.0) <= tol)
     return weights, trace, converged
 
@@ -202,8 +317,8 @@ def build_training_instances(
 
     Components containing any unlabeled mention are skipped (and counted).
     When retrieval misses a mention's gold entity, the gold candidate is
-    injected into that mention's list so the gold assignment stays inside the
-    enumerated set; injections are counted in the stats.
+    injected into that mention's list so the gold assignment is one of the
+    chain's assignments; injections are counted in the stats.
     """
     instances: list[TrainingInstance] = []
     stats = BuildStats()
@@ -214,9 +329,9 @@ def build_training_instances(
             if any(m.gold is None for m in component.mentions):
                 stats.skipped_unlabeled += 1
                 continue
-            lists = candidate_lists(component, index, config.max_candidates, config.tuple_budget)
+            lists = candidate_lists(component, index, config.max_candidates)
             injected = False
-            positions = []
+            gold_choice = []
             for i, mention in enumerate(component.mentions):
                 gold = mention.gold
                 ids = [c.entity_id for c in lists[i]]
@@ -226,25 +341,11 @@ def build_training_instances(
                     lists[i] = lists[i][:-1] + [Candidate(gold, prior), lists[i][-1]]
                     ids = [c.entity_id for c in lists[i]]
                     injected = True
-                positions.append(ids.index(gold))
+                gold_choice.append(ids.index(gold))
             if injected:
                 stats.injected_gold += 1
-            sizes = [len(lst) for lst in lists]
-            gold_index = 0
-            for pos, size in zip(positions, sizes):
-                gold_index = gold_index * size + pos
-            tuples = [CandidateTuple(assignments=combo) for combo in itertools.product(*lists)]
-            matrix = np.stack([extractor.tuple_features(t, component, view) for t in tuples])
-            instances.append(
-                TrainingInstance(
-                    features=matrix,
-                    gold_index=gold_index,
-                    tuples=tuples,
-                    component=component,
-                    doc_id=doc.doc_id,
-                    gold_injected=injected,
-                )
-            )
+            chain = extractor.component_chain(component, lists, view)
+            instances.append(TrainingInstance(ChainStates(chain), chain.assignment_features(gold_choice)))
     return instances, stats
 
 
@@ -306,18 +407,6 @@ class Prediction(NamedTuple):
     nil_cluster: str | None = None
 
 
-def best_tuple_index(scores: np.ndarray, id_sequences: Sequence[tuple[str, ...]]) -> int:
-    """Argmax over scores; exact ties go to the smallest id sequence."""
-    scores = np.asarray(scores, dtype=float)
-    top = scores.max()
-    tied = np.flatnonzero(scores == top)
-    best = int(tied[0])
-    for i in tied[1:]:
-        if id_sequences[int(i)] < id_sequences[best]:
-            best = int(i)
-    return best
-
-
 def decode(
     model: Model,
     doc: MentionDocument,
@@ -328,10 +417,11 @@ def decode(
 ) -> list[Prediction]:
     """Label every mention of a document with its best candidate (or NIL).
 
-    Each connected component is decoded independently: the highest-scoring
-    joint assignment over the enumerated candidates wins, with deterministic
-    tie-breaking. The reported score is the assignment's probability within
-    its component.
+    Each connected component is decoded independently and exactly: the
+    highest-scoring joint assignment over up to `max_candidates` candidates
+    per mention wins, with exact ties going to the smallest id sequence. The
+    reported score is that assignment's probability within its component
+    (the same for all its mentions), not a per-mention confidence.
     """
     if extractor is None:
         extractor = FeatureExtractor(
@@ -348,17 +438,15 @@ def decode(
     view = extractor.document_view(doc)
     by_mention: dict[str, Prediction] = {}
     for component in connected_components(doc, model.config.gap):
-        tuples = enumerate_tuples(component, index, model.config.max_candidates, model.config.tuple_budget)
-        matrix = np.stack([extractor.tuple_features(t, component, view) for t in tuples])
-        scores = matrix @ model.weights
-        probs = softmax(scores)
-        best = best_tuple_index(scores, [t.ids for t in tuples])
-        for mention, candidate in zip(component.mentions, tuples[best].assignments):
+        lists = candidate_lists(component, index, model.config.max_candidates)
+        states = ChainStates(extractor.component_chain(component, lists, view))
+        choice, score = states.decode(model.weights, [[c.entity_id for c in lst] for lst in lists])
+        for mention, lst, j in zip(component.mentions, lists, choice):
             by_mention[mention.id] = Prediction(
                 doc_id=doc.doc_id,
                 mention_id=mention.id,
-                entity_id=candidate.entity_id,
-                score=float(probs[best]),
+                entity_id=lst[j].entity_id,
+                score=score,
                 surface=mention.surface,
             )
     return [by_mention[m.id] for m in doc.mentions]

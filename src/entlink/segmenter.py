@@ -1,9 +1,8 @@
-"""Partition document mentions into connected components and enumerate
-joint candidate assignments per component."""
+"""Partition document mentions into connected components and retrieve each
+mention's candidate list."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -36,7 +35,8 @@ class MentionDocument:
         """Build a document from one parsed record, deriving mention surfaces.
 
         Mentions are sorted by (start, end, id); offsets must address valid
-        UTF-8 slices of the text.
+        UTF-8 slices of the text, and mention ids must be unique in the
+        document.
         """
         try:
             doc_id = str(record["doc_id"])
@@ -46,11 +46,15 @@ class MentionDocument:
             raise DocumentError(f"document record missing field {exc}") from None
         encoded = text.encode("utf-8")
         mentions = []
+        seen: set[str] = set()
         for m in raw_mentions:
             try:
                 mid, start, end = str(m["id"]), int(m["start"]), int(m["end"])
             except (KeyError, TypeError, ValueError):
                 raise DocumentError(f"doc {doc_id!r}: mentions need 'id', 'start', 'end'") from None
+            if mid in seen:
+                raise DocumentError(f"doc {doc_id!r}: duplicate mention id {mid!r}")
+            seen.add(mid)
             if not (0 <= start < end <= len(encoded)):
                 raise DocumentError(f"doc {doc_id!r}, mention {mid!r}: span [{start},{end}) out of range")
             try:
@@ -67,18 +71,6 @@ class MentionDocument:
 class ConnectedComponent:
     id: str
     mentions: list[Mention]  # document order
-
-
-@dataclass
-class CandidateTuple:
-    """One joint assignment of candidates to every mention of a component."""
-
-    assignments: tuple[Candidate, ...]
-    score: float = 0.0
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.entity_id for c in self.assignments)
 
 
 class _UnionFind:
@@ -142,53 +134,19 @@ def connected_components(doc: MentionDocument, gap: int = 4) -> list[ConnectedCo
 
 
 def candidate_lists(
-    component: ConnectedComponent,
-    index: AnchorIndex,
-    k: int,
-    budget: int = 100_000,
+    component: ConnectedComponent, index: AnchorIndex, k: int
 ) -> list[list[Candidate]]:
-    """Per-mention candidate lists (each with NIL appended), budget-capped.
-
-    When the full Cartesian product would exceed `budget`, the per-mention cap
-    is reduced uniformly, keeping the highest-prior candidates, until the
-    product fits. Every mention keeps at least one KB candidate plus NIL even
-    if that still overshoots the budget.
-    """
+    """Per-mention lists of the top-k KB candidates, each with NIL appended."""
     if k < 1:
         raise ValueError("candidate cap k must be >= 1")
-    if budget < 1:
-        raise ValueError("tuple budget must be >= 1")
-    lists = [index.fast_search(m.surface, k) for m in component.mentions]
-    kb_sizes = [len(lst) - 1 for lst in lists]  # NIL excluded
-
-    def product_size(cap: int) -> int:
-        size = 1
-        for kb in kb_sizes:
-            size *= min(kb, cap) + 1
-        return size
-
-    if product_size(k) > budget:
-        cap = k
-        while cap > 1 and product_size(cap) > budget:
-            cap -= 1
-        lists = [lst[:-1][:cap] + [lst[-1]] for lst in lists]
-    return lists
-
-
-def enumerate_tuples(
-    component: ConnectedComponent,
-    index: AnchorIndex,
-    k: int,
-    budget: int = 100_000,
-) -> list[CandidateTuple]:
-    """All joint assignments over the (budget-capped) per-mention candidates."""
-    lists = candidate_lists(component, index, k, budget)
-    return [CandidateTuple(assignments=combo) for combo in itertools.product(*lists)]
+    return [index.fast_search(m.surface, k) for m in component.mentions]
 
 
 def load_documents(path: str) -> list[MentionDocument]:
-    """Read mention documents from a line-delimited JSON file."""
+    """Read mention documents from a line-delimited JSON file; doc ids must
+    be unique in the file."""
     docs = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -198,5 +156,9 @@ def load_documents(path: str) -> list[MentionDocument]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DocumentError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            docs.append(MentionDocument.from_record(record))
+            doc = MentionDocument.from_record(record)
+            if doc.doc_id in seen:
+                raise DocumentError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
+            seen.add(doc.doc_id)
+            docs.append(doc)
     return docs

@@ -13,10 +13,10 @@ import numpy as np
 
 from . import fixtures
 from .config import PipelineConfig
-from .features import default_registry, train_pmi
+from .features import FeatureExtractor, default_registry, train_pmi
 from .kb_store import build_index
-from .maxent import Model, TrainingInstance, cll_objective, decode, softmax
-from .segmenter import connected_components
+from .maxent import Model, build_training_instances, cll_objective, decode, softmax
+from .segmenter import candidate_lists, connected_components
 from .text_vsm import cosine, tokenize
 
 
@@ -37,24 +37,74 @@ def _check_softmax(seed: int) -> None:
         assert np.all(probs >= 0.0)
 
 
+def _fixture_documents():
+    """The toy documents plus one four-mention component with gold labels."""
+    chain_doc = fixtures.doc_from_spans(
+        "doc-chain",
+        "Home Depot CEO Nardelli left Atlanta for Chrysler",
+        [
+            ("m1", "Home Depot", "HOME_DEPOT"),
+            ("m2", "Nardelli", "ROBERT_NARDELLI"),
+            ("m3", "Atlanta", "ATLANTA"),
+            ("m4", "Chrysler", "CHRYSLER"),
+        ],
+    )
+    return fixtures.toy_documents() + [chain_doc]
+
+
 def _check_gradient(seed: int) -> None:
+    index = fixtures.toy_index()
+    extractor = FeatureExtractor(index)
+    instances, _ = build_training_instances(_fixture_documents(), index, extractor, PipelineConfig())
+    d = len(extractor.registry)
     rng = np.random.default_rng(seed)
-    for _ in range(5):
-        n, d = int(rng.integers(2, 8)), 10
-        inst = TrainingInstance(
-            features=rng.normal(size=(n, d)), gold_index=int(rng.integers(n))
-        )
+    for _ in range(3):
         w = rng.normal(size=d)
-        _, grad = cll_objective(w, [inst], 0.5)
+        _, grad = cll_objective(w, instances, 0.5)
         h = 1e-5
         for j in range(d):
             step = np.zeros(d)
             step[j] = h
-            up, _ = cll_objective(w + step, [inst], 0.5)
-            down, _ = cll_objective(w - step, [inst], 0.5)
+            up, _ = cll_objective(w + step, instances, 0.5)
+            down, _ = cll_objective(w - step, instances, 0.5)
             fd = (up - down) / (2 * h)
             rel = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-8)
             assert rel < 1e-5, f"gradient mismatch at {j}: {grad[j]} vs {fd}"
+
+
+def _check_decode_brute_force(seed: int) -> None:
+    """Decode against scoring every joint assignment of each component."""
+    index = fixtures.toy_index()
+    extractor = FeatureExtractor(index)
+    registry = extractor.registry
+    rng = np.random.default_rng(seed)
+    config = PipelineConfig()
+    for scale in (0.0, 1.0, 3.0):
+        weights = rng.normal(scale=scale, size=len(registry)) if scale else np.zeros(len(registry))
+        model = Model(weights, 0.5, registry, extractor.pmi, config)
+        for doc in _fixture_documents():
+            got = {p.mention_id: (p.entity_id, p.score) for p in decode(model, doc, index, extractor=extractor)}
+            view = extractor.document_view(doc)
+            for comp in connected_components(doc, config.gap):
+                lists = candidate_lists(comp, index, config.max_candidates)
+                chain = extractor.component_chain(comp, lists, view)
+                scored = sorted(
+                    (-float(chain.assignment_features(choice) @ weights),
+                     tuple(lst[c].entity_id for lst, c in zip(lists, choice)))
+                    for choice in np.ndindex(*chain.sizes)
+                )
+                scores = -np.array([s for s, _ in scored])
+                best, best_ids = scores[0], scored[0][1]
+                ids = tuple(got[m.id][0] for m in comp.mentions)
+                mine = scores[[i for _, i in scored].index(ids)]
+                # an exact tie must go to the smallest ids; a near tie (equal
+                # up to summation order) may go either way
+                near_tie = mine != best and best - mine <= 1e-9 * max(1.0, abs(best))
+                assert ids == best_ids or near_tie, f"{comp.id}: decode chose {ids}, brute force {best_ids}"
+                prob = float(softmax(scores)[0])
+                assert all(abs(got[m.id][1] - prob) <= 1e-9 for m in comp.mentions), (
+                    f"{comp.id}: score {got[comp.mentions[0].id][1]} != joint probability {prob}"
+                )
 
 
 def _check_components(seed: int) -> None:
@@ -129,6 +179,7 @@ def run_selfcheck(seed: int = 0) -> int:
         ("cosine", _check_cosine),
         ("softmax-normalization", lambda: _check_softmax(seed)),
         ("gradient-finite-difference", lambda: _check_gradient(seed)),
+        ("decode-vs-brute-force", lambda: _check_decode_brute_force(seed)),
         ("connected-components-oracle", lambda: _check_components(seed)),
         ("index-determinism", lambda: _check_index_determinism(seed)),
         ("end-to-end-toy-decode", _check_end_to_end),

@@ -1,14 +1,22 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
-import itertools
 import random
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import closure_oracle, random_linking_doc, random_linking_kb, random_model
+from conftest import (
+    closure_oracle,
+    enumerate_tuples,
+    oracle_argmax,
+    oracle_features,
+    random_chain_instance,
+    random_linking_doc,
+    random_linking_kb,
+    random_model,
+)
 
 from entlink.config import PipelineConfig
 from entlink.evaluator import b3plus_f1, bot_f1
@@ -22,16 +30,15 @@ from entlink.fixtures import (
 )
 from entlink.kb_store import NIL, KbEntry, build_index
 from entlink.maxent import (
+    ChainStates,
     Model,
-    TrainingInstance,
     build_training_instances,
     cll_objective,
     decode,
     fit_weights,
-    softmax,
     train,
 )
-from entlink.segmenter import CandidateTuple, MentionDocument, connected_components
+from entlink.segmenter import MentionDocument, candidate_lists, connected_components
 
 
 @contextmanager
@@ -50,11 +57,7 @@ def test_01_gradient_matches_finite_differences():
         h = 1e-5
         started = time.perf_counter()
         for _ in range(20):
-            n_tuples = int(rng.integers(2, 9))
-            inst = TrainingInstance(
-                features=rng.normal(size=(n_tuples, 10)),
-                gold_index=int(rng.integers(n_tuples)),
-            )
+            inst = random_chain_instance(rng)
             weights = rng.normal(size=10)
             _, grad = cll_objective(weights, [inst], sigma=0.5)
             for j in range(10):
@@ -79,14 +82,13 @@ def test_02_softmax_normalization_on_random_components():
             doc = random_linking_doc(rng, f"doc{checked}")
             view = extractor.document_view(doc)
             for component in connected_components(doc, model.config.gap):
-                lists = [index.fast_search(m.surface, 5) for m in component.mentions]
-                matrix = np.stack(
-                    [
-                        extractor.tuple_features(CandidateTuple(assignments=combo), component, view)
-                        for combo in itertools.product(*lists)
-                    ]
-                )
-                probs = softmax(matrix @ model.weights)
+                # every assignment's exp(score - log Z), log Z from the chain
+                lists = candidate_lists(component, index, 5)
+                states = ChainStates(extractor.component_chain(component, lists, view))
+                log_z, _ = states.log_z_and_expectation(model.weights)
+                assignments = enumerate_tuples(component, index, 5)
+                matrix = oracle_features(extractor, component, assignments, view)
+                probs = np.exp(matrix @ model.weights - log_z)
                 assert abs(float(probs.sum()) - 1.0) <= 1e-9
                 assert np.all(probs > 0.0)
                 checked += 1
@@ -109,19 +111,11 @@ def test_03_decode_equals_brute_force_enumeration():
                 view = extractor.document_view(doc)
                 expected = {}
                 for component in connected_components(doc, model.config.gap):
-                    lists = [index.fast_search(m.surface, 5) for m in component.mentions]
-                    assert all(len(lst) <= 5 for lst in lists)
-                    best_ids, best_score = None, None
-                    for combo in itertools.product(*lists):
-                        t = CandidateTuple(assignments=combo)
-                        fvec = extractor.tuple_features(t, component, view)
-                        score = sum(float(w) * float(f) for w, f in zip(model.weights, fvec))
-                        if (
-                            best_score is None
-                            or score > best_score
-                            or (score == best_score and t.ids < best_ids)
-                        ):
-                            best_ids, best_score = t.ids, score
+                    assignments = enumerate_tuples(component, index, 5)
+                    assert all(len(c) <= 5 for c in candidate_lists(component, index, 5))
+                    matrix = oracle_features(extractor, component, assignments, view)
+                    scores = [sum(float(w) * float(f) for w, f in zip(model.weights, fvec)) for fvec in matrix]
+                    best_ids = oracle_argmax(assignments, scores)
                     for mention, eid in zip(component.mentions, best_ids):
                         expected[mention.id] = eid
                 assert predictions == expected

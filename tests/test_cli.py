@@ -2,8 +2,12 @@
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entlink.cli import run
 from entlink.fixtures import synthetic_corpus, toy_documents, toy_kb_entries
@@ -170,10 +174,88 @@ class TestErrors:
         )
         assert code != 0
 
+    def test_duplicate_mention_ids_exit_1(self, toy_paths, caplog):
+        tmp_path, kb_path, docs_path = toy_paths
+        index_path = str(tmp_path / "toy.idx")
+        model_path = str(tmp_path / "m.json")
+        assert run(["build-index", "--kb", kb_path, "--out", index_path]) == 0
+        assert run(["train", "--kb-index", index_path, "--train", docs_path, "--out", model_path]) == 0
+        both_m1 = {
+            "doc_id": "d",
+            "text": "Home Depot CEO Nardelli quits",
+            "mentions": [{"id": "m1", "start": 0, "end": 10}, {"id": "m1", "start": 15, "end": 23}],
+        }
+        in_path = tmp_path / "dup.jsonl"
+        write_jsonl(in_path, [both_m1])
+        code = run(["link", "--model", model_path, "--index", index_path,
+                    "--in", str(in_path), "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        assert any("duplicate mention id" in r.getMessage() for r in caplog.records)
+
+    def test_duplicate_doc_ids_exit_1(self, toy_paths):
+        tmp_path, kb_path, docs_path = toy_paths
+        records = [doc_record(d) for d in toy_documents()]
+        gold_path = tmp_path / "gold.jsonl"
+        write_jsonl(gold_path, records + records[:1])
+        preds_path = tmp_path / "preds.jsonl"
+        write_jsonl(preds_path, [{"doc_id": r["doc_id"], "mention_id": m["id"], "prediction": "NIL",
+                                  "score": 1.0} for r in records for m in r["mentions"]])
+        code = run(["eval", "--metric", "bot", "--pred", str(preds_path), "--gold", str(gold_path)])
+        assert code == 1
+
+    def test_budget_flag_removed(self, toy_paths):
+        tmp_path, _, docs_path = toy_paths
+        with pytest.raises(SystemExit):
+            run(["train", "--kb-index", "x.idx", "--train", docs_path, "--out", "m.json", "--budget", "5"])
+
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
             run(["build-index", "--nope"])
         assert excinfo.value.code != 0
+
+
+@pytest.fixture(scope="module")
+def toy_artifacts(tmp_path_factory):
+    """Index, model and documents of the toy corpus, as bytes."""
+    tmp = tmp_path_factory.mktemp("artifacts")
+    write_jsonl(tmp / "kb.jsonl", [e.to_record() for e in toy_kb_entries()])
+    write_jsonl(tmp / "docs.jsonl", [doc_record(d) for d in toy_documents()])
+    assert run(["build-index", "--kb", str(tmp / "kb.jsonl"), "--out", str(tmp / "toy.idx")]) == 0
+    assert run(["train", "--kb-index", str(tmp / "toy.idx"), "--train", str(tmp / "docs.jsonl"),
+                "--out", str(tmp / "model.json")]) == 0
+    return {name: (tmp / name).read_bytes() for name in ("toy.idx", "model.json", "docs.jsonl")}
+
+
+def _corrupt(blob: bytes, cut: int | None, flips: list[tuple[int, int]]) -> bytes:
+    out = bytearray(blob if cut is None else blob[: cut % len(blob)])
+    for position, xor in flips:
+        if out:
+            out[position % len(out)] ^= xor
+    return bytes(out)
+
+
+class TestCorruptArtifacts:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        target=st.sampled_from(["toy.idx", "model.json"]),
+        cut=st.none() | st.integers(0, 10**6),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+    )
+    def test_link_succeeds_or_exits_1(self, toy_artifacts, target, cut, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, blob in toy_artifacts.items():
+                (tmp / name).write_bytes(_corrupt(blob, cut, flips) if name == target else blob)
+            code = run(["link", "--model", str(tmp / "model.json"), "--index", str(tmp / "toy.idx"),
+                        "--in", str(tmp / "docs.jsonl"), "--out", str(tmp / "preds.jsonl")])
+        assert code in (0, 1)
+
+    def test_truncated_index_exits_1(self, toy_artifacts, tmp_path):
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob[: len(blob) // 2] if name == "toy.idx" else blob)
+        code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(tmp_path / "toy.idx"),
+                    "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
 
 
 class TestSelfcheck:

@@ -243,16 +243,19 @@ class TestEntityEntityFeatures:
         assert feature(extractor, vec, "category_pmi") == pytest.approx(0.25)
 
 
+def assignment_vector(extractor, component, view, assignment):
+    """Aggregate features of one assignment, through the component's chain."""
+    chain = extractor.component_chain(component, [[c] for c in assignment], view)
+    return chain.assignment_features([0] * len(assignment))
+
+
 class TestTupleFeatures:
     def test_single_mention_has_no_pair_features(self, toy):
         index, extractor = toy
         doc = doc_from_spans("d", "Atlanta is warm", [("m", "Atlanta", None)])
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
-        t = CandidateTuple(assignments=(Candidate("ATLANTA", 1.0),))
-        vec = extractor.tuple_features(t, component, view)
+        vec = assignment_vector(extractor, component, view, (Candidate("ATLANTA", 1.0),))
         for name in ("outlink_overlap", "inlink_overlap", "category_pmi",
                      "categorical_relation_freq", "title_cooccurrence"):
             assert feature(extractor, vec, name) == 0.0
@@ -262,11 +265,8 @@ class TestTupleFeatures:
         doc = home_depot_document()
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
         c1, c2 = Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5)
-        t = CandidateTuple(assignments=(c1, c2))
-        vec = extractor.tuple_features(t, component, view)
+        vec = assignment_vector(extractor, component, view, (c1, c2))
         part1 = extractor.mention_entity_features(doc.mentions[0], c1, view)
         part2 = extractor.mention_entity_features(doc.mentions[1], c2, view)
         pair = extractor.entity_entity_features(c1.entity_id, c2.entity_id)
@@ -283,14 +283,12 @@ class TestTupleFeatures:
         )
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
-        both_exact = CandidateTuple(assignments=(Candidate("HOME_DEPOT", 1.0), Candidate("ATLANTA", 1.0)))
-        vec = extractor.tuple_features(both_exact, component, view)
+        both_exact = (Candidate("HOME_DEPOT", 1.0), Candidate("ATLANTA", 1.0))
+        vec = assignment_vector(extractor, component, view, both_exact)
         assert feature(extractor, vec, "match_all_title") == 1.0
 
-        one_off = CandidateTuple(assignments=(Candidate("HOME_DEPOT", 1.0), Candidate("CHRYSLER", 0.0)))
-        vec = extractor.tuple_features(one_off, component, view)
+        one_off = (Candidate("HOME_DEPOT", 1.0), Candidate("CHRYSLER", 0.0))
+        vec = assignment_vector(extractor, component, view, one_off)
         assert feature(extractor, vec, "match_all_title") == 0.0
 
     def test_nil_frequency_counts_nil_assignments(self, toy):
@@ -298,10 +296,7 @@ class TestTupleFeatures:
         doc = home_depot_document()
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
-        t = CandidateTuple(assignments=(Candidate(NIL, 0.0), Candidate(NIL, 0.0)))
-        vec = extractor.tuple_features(t, component, view)
+        vec = assignment_vector(extractor, component, view, (Candidate(NIL, 0.0), Candidate(NIL, 0.0)))
         assert feature(extractor, vec, "nil_frequency") == 2.0
 
     def test_arity_mismatch_is_hard_error(self, toy):
@@ -309,29 +304,22 @@ class TestTupleFeatures:
         doc = home_depot_document()
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
         with pytest.raises(ValueError):
-            extractor.tuple_features(
-                CandidateTuple(assignments=(Candidate(NIL, 0.0),)), component, view
-            )
+            extractor.component_chain(component, [[Candidate(NIL, 0.0)]], view)
+        chain = extractor.component_chain(component, [[Candidate(NIL, 0.0)]] * 2, view)
+        with pytest.raises(ValueError):
+            chain.assignment_features([0])
 
     def test_preferred_tuple_scores_higher_cooccurrence(self, toy):
         index, extractor = toy
         doc = home_depot_document()
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
-        robert = extractor.tuple_features(
-            CandidateTuple(assignments=(Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5))),
-            component,
-            view,
+        robert = assignment_vector(
+            extractor, component, view, (Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5))
         )
-        steve = extractor.tuple_features(
-            CandidateTuple(assignments=(Candidate("HOME_DEPOT", 1.0), Candidate("STEVE_NARDELLI", 0.5))),
-            component,
-            view,
+        steve = assignment_vector(
+            extractor, component, view, (Candidate("HOME_DEPOT", 1.0), Candidate("STEVE_NARDELLI", 0.5))
         )
         i = extractor.registry.index("title_cooccurrence")
         assert robert[i] > steve[i]
@@ -341,11 +329,9 @@ class TestTupleFeatures:
         doc = home_depot_document()
         (component,) = connected_components(doc, gap=4)
         view = extractor.document_view(doc)
-        from entlink.segmenter import CandidateTuple
-
-        t = CandidateTuple(assignments=(Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5)))
-        first = extractor.tuple_features(t, component, view)
-        second = extractor.tuple_features(t, component, view)
+        t = (Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5))
+        first = assignment_vector(extractor, component, view, t)
+        second = assignment_vector(extractor, component, view, t)
         assert np.array_equal(first, second)
 
     def test_invariant_under_kb_record_order(self):
@@ -354,26 +340,22 @@ class TestTupleFeatures:
         shuffled = list(entries)
         rng.shuffle(shuffled)
         doc = home_depot_document()
-        from entlink.segmenter import CandidateTuple
-
         vectors = []
         for source in (entries, shuffled):
             index = build_index(source)
             extractor = FeatureExtractor(index)
             (component,) = connected_components(doc, gap=4)
             view = extractor.document_view(doc)
-            t = CandidateTuple(
-                assignments=(Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5))
-            )
-            vectors.append(extractor.tuple_features(t, component, view))
+            t = (Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5))
+            vectors.append(assignment_vector(extractor, component, view, t))
         assert np.array_equal(vectors[0], vectors[1])
 
 
 class TestValueRanges:
     def test_random_fixtures_stay_in_bounds(self):
-        from conftest import random_linking_doc, random_linking_kb
-        from entlink.segmenter import CandidateTuple, connected_components
-        from entlink.kb_store import build_index as _  # noqa: F401
+        from conftest import enumerate_tuples, oracle_features, random_linking_doc, random_linking_kb
+
+        from entlink.segmenter import candidate_lists
 
         rng = random.Random(99)
         registry = default_registry()
@@ -385,7 +367,6 @@ class TestValueRanges:
             if n.endswith(("_freq_text", "_freq_ctx"))
             or n in ("nil_frequency", "categorical_relation_freq", "title_cooccurrence")
         ]
-        import itertools
 
         for i in range(10):
             index = random_linking_kb(rng)
@@ -393,11 +374,12 @@ class TestValueRanges:
             doc = random_linking_doc(rng, f"doc{i}")
             view = extractor.document_view(doc)
             for component in connected_components(doc, gap=4):
-                lists = [index.fast_search(m.surface, 5) for m in component.mentions]
-                for combo in itertools.product(*lists):
-                    vec = extractor.tuple_features(
-                        CandidateTuple(assignments=combo), component, view
-                    )
+                chain = extractor.component_chain(component, candidate_lists(component, index, 5), view)
+                assignments = enumerate_tuples(component, index, 5)
+                expected = oracle_features(extractor, component, assignments, view)
+                for combo, choice, want in zip(assignments, np.ndindex(*chain.sizes), expected):
+                    vec = chain.assignment_features(choice)
+                    assert np.allclose(vec, want, rtol=1e-12, atol=1e-12)
                     assert np.all(np.isfinite(vec))
                     n_pairs = max(0, len(combo) - 1)
                     for j in cos_idx:

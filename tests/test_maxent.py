@@ -1,22 +1,32 @@
 """Classifier tests: probabilities, objective/gradient, training, decoding."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
-from conftest import random_linking_doc, random_linking_kb, random_model
+from conftest import (
+    enumerate_tuples,
+    oracle_argmax,
+    oracle_features,
+    random_chain_instance,
+    random_linking_doc,
+    random_linking_kb,
+    random_model,
+)
 
 from entlink.config import PipelineConfig
-from entlink.features import FeatureExtractor, PmiTable, default_registry
+from entlink.features import ComponentChain, FeatureExtractor, PmiTable, default_registry
 from entlink.fixtures import home_depot_document, synthetic_corpus, toy_index
-from entlink.kb_store import NIL, FormatVersionError, build_index
+from entlink.kb_store import NIL, Candidate, FormatVersionError, build_index
 from entlink.maxent import (
+    MODEL_FORMAT_VERSION,
+    ChainStates,
     Model,
     Prediction,
     TrainingError,
     TrainingInstance,
-    best_tuple_index,
     build_training_instances,
     cll_objective,
     decode,
@@ -24,9 +34,8 @@ from entlink.maxent import (
     nil_cluster,
     softmax,
     train,
-    tuple_probability,
 )
-from entlink.segmenter import connected_components, enumerate_tuples
+from entlink.segmenter import connected_components
 
 
 def fd_gradient(weights, instances, sigma, h=1e-5):
@@ -41,11 +50,15 @@ def fd_gradient(weights, instances, sigma, h=1e-5):
     return grad
 
 
-def random_instance(rng, n_features=10, max_tuples=8):
-    n = int(rng.integers(2, max_tuples + 1))
-    return TrainingInstance(
-        features=rng.normal(size=(n, n_features)),
-        gold_index=int(rng.integers(n)),
+def single_mention_chain(features):
+    """A one-mention chain whose candidates have the given unary rows."""
+    features = np.asarray(features, dtype=float)
+    return ComponentChain(
+        sizes=(features.shape[0],),
+        features=features,
+        pairs=(),
+        bits=np.zeros(features.shape[0], dtype=np.intp),
+        mask_features=np.zeros((1, features.shape[1])),
     )
 
 
@@ -73,15 +86,18 @@ class TestSoftmax:
             softmax(np.array([]))
 
     def test_tuple_probability(self):
-        features = np.array([[1.0, 0.0], [0.0, 0.0]])
+        states = ChainStates(single_mention_chain([[1.0, 0.0], [0.0, 0.0]]))
         weights = np.array([1.0, 0.0])
         e = math.e
-        assert tuple_probability(weights, features, 0) == pytest.approx(e / (e + 1))
+        choice, probability = states.decode(weights, [["A", "B"]])
+        assert choice == [0]
+        assert probability == pytest.approx(e / (e + 1))
 
 
 class TestObjective:
     def test_zero_weights_uniform_log_likelihood(self):
-        inst = TrainingInstance(features=np.ones((4, 3)), gold_index=2)
+        chain = single_mention_chain(np.ones((4, 3)))
+        inst = TrainingInstance(ChainStates(chain), chain.assignment_features([2]))
         value, _ = cll_objective(np.zeros(3), [inst], sigma=0.5)
         assert value == pytest.approx(math.log(1 / 4), abs=1e-12)
 
@@ -93,7 +109,7 @@ class TestObjective:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        inst = random_instance(rng)
+        inst = random_chain_instance(rng)
         w = rng.normal(size=10)
         _, grad = cll_objective(w, [inst], sigma=0.5)
         fd = fd_gradient(w, [inst], sigma=0.5)
@@ -102,7 +118,7 @@ class TestObjective:
 
     def test_concavity_probe(self):
         rng = np.random.default_rng(9)
-        instances = [random_instance(rng) for _ in range(3)]
+        instances = [random_chain_instance(rng) for _ in range(3)]
         w = rng.normal(size=10)
         for _ in range(10):
             direction = rng.normal(size=10)
@@ -116,7 +132,7 @@ class TestObjective:
 class TestFitWeights:
     def test_converges_and_trace_monotone(self):
         rng = np.random.default_rng(3)
-        instances = [random_instance(rng) for _ in range(5)]
+        instances = [random_chain_instance(rng) for _ in range(5)]
         weights, trace, converged = fit_weights(instances, sigma=0.5, dim=10)
         assert converged
         _, grad = cll_objective(weights, instances, 0.5)
@@ -124,18 +140,38 @@ class TestFitWeights:
         for earlier, later in zip(trace, trace[1:]):
             assert later >= earlier - 1e-12
 
+    def test_trace_reuses_the_optimizers_evaluations(self, monkeypatch):
+        import entlink.maxent as maxent
+
+        rng = np.random.default_rng(4)
+        instances = [random_chain_instance(rng) for _ in range(5)]
+        evaluated = []
+
+        def counted(w, *args):
+            evaluated.append(np.array(w))
+            return cll_objective(w, *args)
+
+        monkeypatch.setattr(maxent, "cll_objective", counted)
+        weights, trace, _ = fit_weights(instances, sigma=0.5, dim=10)
+        # one evaluation per point the optimizer asked for, none repeated
+        assert not any(np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
+        assert len(evaluated) <= len(trace) - 1 + 5
+        assert trace[0] == cll_objective(np.zeros(10), instances, 0.5)[0]
+        assert trace[-1] == cll_objective(weights, instances, 0.5)[0]
+
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             fit_weights([], sigma=0.0, dim=3)
 
     def test_non_finite_objective_aborts(self):
-        bad = TrainingInstance(features=np.array([[np.nan, 1.0], [0.0, 0.0]]), gold_index=0)
+        chain = single_mention_chain([[np.nan, 1.0], [0.0, 0.0]])
+        bad = TrainingInstance(ChainStates(chain), chain.assignment_features([0]))
         with pytest.raises(TrainingError):
             fit_weights([bad], sigma=0.5, dim=2)
 
     def test_strong_regularization_shrinks_weights(self):
         rng = np.random.default_rng(12)
-        instances = [random_instance(rng) for _ in range(5)]
+        instances = [random_chain_instance(rng) for _ in range(5)]
         weights, _, _ = fit_weights(instances, sigma=1e6, dim=10)
         assert np.linalg.norm(weights) < 1e-3
 
@@ -179,16 +215,10 @@ class TestDecode:
             view = extractor.document_view(doc)
             expected = {}
             for component in connected_components(doc, model.config.gap):
-                best_ids, best_score = None, None
-                for t in enumerate_tuples(component, index, model.config.max_candidates):
-                    fvec = extractor.tuple_features(t, component, view)
-                    score = sum(float(w) * float(f) for w, f in zip(model.weights, fvec))
-                    if (
-                        best_score is None
-                        or score > best_score
-                        or (score == best_score and t.ids < best_ids)
-                    ):
-                        best_ids, best_score = t.ids, score
+                assignments = enumerate_tuples(component, index, model.config.max_candidates)
+                matrix = oracle_features(extractor, component, assignments, view)
+                scores = [sum(float(w) * float(f) for w, f in zip(model.weights, fvec)) for fvec in matrix]
+                best_ids = oracle_argmax(assignments, scores)
                 for mention, eid in zip(component.mentions, best_ids):
                     expected[mention.id] = eid
             assert {p.mention_id: p.entity_id for p in predictions} == expected
@@ -196,11 +226,24 @@ class TestDecode:
     def test_constant_feature_leaves_argmax_unchanged(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            n = int(rng.integers(2, 10))
-            scores = rng.normal(size=n)
-            ids = [tuple(sorted(rng.choice(["A", "B", "C", NIL], size=2))) for _ in range(n)]
-            shifted = scores + 3.7  # a constant feature shifts every score equally
-            assert best_tuple_index(scores, ids) == best_tuple_index(shifted, ids)
+            states = random_chain_instance(rng).states
+            ids = [sorted(rng.choice(["A", "B", "C", "D", NIL], size=k, replace=False)) for k in states.chain.sizes]
+            weights = rng.normal(size=10)
+            # a feature equal to 1 at every candidate of the first mention
+            # adds its weight to every assignment's score
+            constant = np.zeros(states.chain.features.shape[0])
+            constant[: states.chain.sizes[0]] = 1.0
+            chain = states.chain
+            shifted = ChainStates(ComponentChain(
+                sizes=chain.sizes,
+                features=np.column_stack([chain.features, constant]),
+                pairs=tuple(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=2) for p in chain.pairs),
+                bits=chain.bits,
+                mask_features=np.column_stack([chain.mask_features, np.zeros(len(chain.mask_features))]),
+            ))
+            before, _ = states.decode(weights, ids)
+            after, _ = shifted.decode(np.append(weights, 3.7), ids)
+            assert before == after
 
     def test_cjk_documents_link_via_context(self):
         from entlink.kb_store import KbEntry
@@ -292,7 +335,11 @@ class TestTraining:
         instances, stats = build_training_instances([doc], index, extractor, config)
         assert stats.injected_gold == 1
         (inst,) = instances
-        assert inst.tuples[inst.gold_index].ids == ("STEVE_NARDELLI",)
+        (component,) = connected_components(doc, config.gap)
+        gold = (Candidate("STEVE_NARDELLI", index.link_prior("Nardelli", "STEVE_NARDELLI")),)
+        expected = oracle_features(extractor, component, [gold], extractor.document_view(doc))[0]
+        assert np.array_equal(inst.gold_features, expected)
+        assert inst.features.shape[0] == 3  # ROBERT_NARDELLI, injected STEVE_NARDELLI, NIL
 
     def test_unlabeled_components_skipped(self):
         index = toy_index()
@@ -312,7 +359,11 @@ class TestTraining:
         doc = home_depot_document()
         instances, _ = build_training_instances([doc], index, extractor, config)
         (inst,) = instances
-        assert inst.tuples[inst.gold_index].ids == ("HOME_DEPOT", "ROBERT_NARDELLI")
+        (component,) = connected_components(doc, config.gap)
+        assignments = enumerate_tuples(component, index, config.max_candidates)
+        (gold,) = [a for a in assignments if tuple(c.entity_id for c in a) == ("HOME_DEPOT", "ROBERT_NARDELLI")]
+        expected = oracle_features(extractor, component, [gold], extractor.document_view(doc))[0]
+        assert np.array_equal(inst.gold_features, expected)
 
     def test_training_learns_context_disambiguation(self):
         rng = random.Random(42)
@@ -363,8 +414,46 @@ class TestModelSerialization:
         model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
         path = tmp_path / "model.json"
         model.save(str(path))
-        content = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        content = path.read_text().replace(
+            f'"format_version": {MODEL_FORMAT_VERSION}', '"format_version": 99'
+        )
         path.write_text(content)
+        with pytest.raises(FormatVersionError):
+            Model.load(str(path))
+
+    def test_version_1_model_with_tuple_budget_rejected(self, tmp_path):
+        registry = default_registry()
+        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        payload["config"]["tuple_budget"] = 100_000
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatVersionError, match="format version 1"):
+            Model.load(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["config"].update(tuple_budget=100_000),  # unknown key
+            lambda p: p["config"].pop("gap"),                    # missing key
+            lambda p: p["config"].update(max_candidates=2.5),    # wrong type
+            lambda p: p.update(config=[1, 2]),
+            lambda p: p.pop("weights"),
+            lambda p: p.update(pmi=[]),
+            lambda p: p.update(sigma=None),
+            lambda p: p.update(registry=p["registry"][:-1] + ["not_a_feature"]),
+        ],
+    )
+    def test_malformed_model_rejected(self, tmp_path, edit):
+        registry = default_registry()
+        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
         with pytest.raises(FormatVersionError):
             Model.load(str(path))
 

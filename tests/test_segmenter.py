@@ -1,17 +1,18 @@
-"""Connected-component segmentation and tuple enumeration tests."""
+"""Connected-component segmentation and candidate-list tests."""
 
+import json
 import random
 
 import pytest
-from conftest import closure_oracle
+from conftest import closure_oracle, enumerate_tuples
 
 from entlink.fixtures import doc_from_spans, home_depot_document, random_mention_document, toy_index
-from entlink.kb_store import NIL, KbEntry, build_index
+from entlink.kb_store import NIL
 from entlink.segmenter import (
     DocumentError,
     MentionDocument,
     connected_components,
-    enumerate_tuples,
+    load_documents,
 )
 
 
@@ -41,6 +42,22 @@ class TestDocumentParsing:
         record = {"doc_id": "d", "text": "李娜", "mentions": [{"id": "m", "start": 0, "end": 2}]}
         with pytest.raises(DocumentError):
             MentionDocument.from_record(record)
+
+    def test_duplicate_mention_id_rejected(self):
+        record = {
+            "doc_id": "d",
+            "text": "Home Depot CEO Nardelli quits",
+            "mentions": [{"id": "m1", "start": 0, "end": 10}, {"id": "m1", "start": 15, "end": 23}],
+        }
+        with pytest.raises(DocumentError, match="duplicate mention id 'm1'"):
+            MentionDocument.from_record(record)
+
+    def test_duplicate_doc_id_rejected(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        record = {"doc_id": "d", "text": "Atlanta", "mentions": [{"id": "m", "start": 0, "end": 7}]}
+        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DocumentError, match="duplicate doc_id 'd'"):
+            load_documents(str(path))
 
 
 class TestConnectedComponents:
@@ -112,7 +129,7 @@ class TestEnumerateTuples:
         # 'Home Depot' has 1 KB candidate + NIL; 'Nardelli' has 2 + NIL
         tuples = enumerate_tuples(component, index, k=40)
         assert len(tuples) == 2 * 3
-        assert all(len(t.assignments) == 2 for t in tuples)
+        assert all(len(t) == 2 for t in tuples)
 
     def test_singleton_without_hits_yields_nil_tuple(self):
         index = toy_index()
@@ -120,41 +137,7 @@ class TestEnumerateTuples:
         (component,) = connected_components(doc, gap=4)
         tuples = enumerate_tuples(component, index, k=40)
         assert len(tuples) == 1
-        assert tuples[0].ids == (NIL,)
-
-    def test_budget_reduces_per_mention_cap(self):
-        # 3 mentions x 40 KB candidates each; budget 1000 forces cap 9,
-        # giving lists of 10 (9 KB + NIL) and exactly 1000 assignments
-        entries = [
-            KbEntry(
-                id="HUB",
-                title="Hub",
-                text="",
-                outlinks=tuple(("common name", f"E{i:02d}") for i in range(40) for _ in range(40 - i)),
-            )
-        ] + [KbEntry(id=f"E{i:02d}", title=f"Entity {i}", text="") for i in range(40)]
-        index = build_index(entries)
-        assert len(index.fast_search("common name", 40)) == 41
-        text = "common name x common name y common name"
-        doc = doc_from_spans(
-            "d",
-            text,
-            [("m1", "common name", None), ("m2", "common name", None), ("m3", "common name", None)],
-        )
-        (component,) = connected_components(doc, gap=4)
-        tuples = enumerate_tuples(component, index, k=40, budget=1000)
-        assert len(tuples) == 1000
-        per_mention = {tuple(sorted({t.assignments[i].entity_id for t in tuples})) for i in range(3)}
-        assert all(len(ids) == 10 for ids in per_mention)
-        # top-prior candidates survive the reduction
-        first_ids = {t.assignments[0].entity_id for t in tuples}
-        assert {f"E{i:02d}" for i in range(9)} | {NIL} == first_ids
-
-    def test_under_budget_keeps_full_product(self):
-        index = toy_index()
-        doc = home_depot_document()
-        (component,) = connected_components(doc, gap=4)
-        assert len(enumerate_tuples(component, index, k=40, budget=6)) == 6
+        assert tuple(c.entity_id for c in tuples[0]) == (NIL,)
 
     def test_invalid_arguments(self):
         index = toy_index()
@@ -162,5 +145,3 @@ class TestEnumerateTuples:
         (component,) = connected_components(doc, gap=4)
         with pytest.raises(ValueError):
             enumerate_tuples(component, index, k=0)
-        with pytest.raises(ValueError):
-            enumerate_tuples(component, index, k=1, budget=0)
