@@ -1,7 +1,7 @@
 """Command-line entry point: build-index, train, link, eval, selfcheck.
 
-Runs are reproducible: no environment variables are consulted and all
-randomness derives from --seed.
+Runs are reproducible: no environment variables are consulted and nothing
+in the pipeline is random (only `selfcheck` draws from its --seed).
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("build-index", help="build the anchor-title index from a KB file")
     p_index.add_argument("--kb", required=True, help="line-delimited JSON KB records")
     p_index.add_argument("--out", required=True, help="output index file")
-    p_index.add_argument("--max-candidates", type=int, default=40)
-    p_index.add_argument("--seed", type=int, default=0)
     p_index.set_defaults(func=cmd_build_index)
 
     p_train = sub.add_parser("train", help="train a linking model on gold-labeled documents")
@@ -59,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--blacklist-threshold", type=float, default=0.05)
     p_train.add_argument("--tol", type=float, default=1e-6)
     p_train.add_argument("--max-iter", type=int, default=500)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.set_defaults(func=cmd_train)
 
     p_link = sub.add_parser("link", help="label documents with a trained model")
@@ -69,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--out", required=True, help="output predictions (JSONL)")
     p_link.add_argument("--stopwords", default=None)
     p_link.add_argument("--jobs", type=int, default=1, help="documents decoded in parallel")
-    p_link.add_argument("--seed", type=int, default=0)
     p_link.set_defaults(func=cmd_link)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold documents")
@@ -77,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True, help="predictions (JSONL)")
     p_eval.add_argument("--gold", required=True, help="gold documents (JSONL)")
     p_eval.add_argument("--out", default=None, help="optional JSON report file")
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("selfcheck", help="run built-in invariant checks on bundled fixtures")
@@ -88,10 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    if args.max_candidates < 1:
-        raise ValueError("max_candidates must be >= 1")
-    log.info("config: kb=%s out=%s max_candidates=%d", args.kb, args.out, args.max_candidates)
-    index = build_index(load_kb_jsonl(args.kb), max_candidates=args.max_candidates)
+    log.info("config: kb=%s out=%s", args.kb, args.out)
+    index = build_index(load_kb_jsonl(args.kb))
     index.save(args.out)
     log.info(
         "indexed %d entries, %d anchors, %d redirect names (%d dangling links)",
@@ -237,7 +229,6 @@ def run(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except (

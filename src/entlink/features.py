@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .kb_store import NIL, AnchorIndex, Candidate, normalize_name
 from .segmenter import ConnectedComponent, Mention, MentionDocument
-from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize
+from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize, top_terms
 
 COSINE_FEATURES = (
     "cos_text_text",   # page text vs mention text
@@ -77,13 +77,6 @@ class FeatureRegistry:
 
     def index(self, name: str) -> int:
         return self._index[name]
-
-    def to_list(self) -> list[str]:
-        return list(self.names)
-
-    @staticmethod
-    def from_list(names: Sequence[str]) -> "FeatureRegistry":
-        return FeatureRegistry(names)
 
 
 def default_registry() -> FeatureRegistry:
@@ -178,12 +171,18 @@ def jaccard(a: Iterable, b: Iterable) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def count_contiguous(needle: tuple[str, ...], haystack: tuple[str, ...]) -> int:
-    """Occurrences of `needle` as a contiguous subsequence of `haystack`."""
+def contiguous_matches(needle: tuple[str, ...], haystack: tuple[str, ...]) -> Iterator[int]:
+    """Start positions of `needle` as a contiguous subsequence of `haystack`."""
     n = len(needle)
     if n == 0 or n > len(haystack):
-        return 0
-    return sum(1 for i in range(len(haystack) - n + 1) if haystack[i:i + n] == needle)
+        return iter(())
+    head = needle[0]  # compared first: cheaper than a slice at every position
+    return (i for i in range(len(haystack) - n + 1) if haystack[i] == head and haystack[i:i + n] == needle)
+
+
+def count_contiguous(needle: tuple[str, ...], haystack: tuple[str, ...]) -> int:
+    """Occurrences of `needle` as a contiguous subsequence of `haystack`."""
+    return sum(1 for _ in contiguous_matches(needle, haystack))
 
 
 def _acronym(tokens: Sequence[str]) -> str | None:
@@ -196,6 +195,7 @@ class _EntityData:
     """Per-entity derived data shared across feature computations."""
 
     __slots__ = (
+        "tokens", "text_vec", "top_vec", "ctx_vecs",
         "norm_title", "norm_redirects", "acronyms", "title_tokens",
         "category_token_sets", "name_sequences",
     )
@@ -204,6 +204,11 @@ class _EntityData:
         index = extractor.index
         stop = extractor.stopwords
         entry = index.entries[eid]
+        self.tokens = tokenize(entry.text)
+        self.text_vec = term_freq((t.text for t in self.tokens), stop)
+        self.top_vec = top_terms(self.text_vec, extractor.top_n)
+        # page context vectors, keyed by the normalized surface they centre on
+        self.ctx_vecs: dict[str, TermVector] = {}
         self.norm_title = normalize_name(entry.title)
         self.norm_redirects = frozenset(normalize_name(r) for r in entry.redirects)
         acronyms = set()
@@ -234,50 +239,36 @@ class _EntityData:
         }
 
 
+class MentionTerms(NamedTuple):
+    """Non-stopword tokens of a mention's surface and of its context window,
+    with their term-frequency vectors."""
+
+    text_seq: tuple[str, ...]
+    ctx_seq: tuple[str, ...]
+    text_vec: TermVector
+    ctx_vec: TermVector
+
+
 class DocumentView:
-    """Tokenization and per-mention vectors of one document, computed once."""
+    """Tokenization and per-mention terms of one document, computed once."""
 
     def __init__(self, extractor: "FeatureExtractor", doc: MentionDocument):
         self.doc = doc
         self.tokens = tokenize(doc.text)
         self._extractor = extractor
-        self._text_vecs: dict[str, TermVector] = {}
-        self._ctx_vecs: dict[str, TermVector] = {}
-        self._text_seqs: dict[str, tuple[str, ...]] = {}
-        self._ctx_seqs: dict[str, tuple[str, ...]] = {}
+        self._mentions: dict[str, MentionTerms] = {}
         self._partials: dict[tuple[str, str], np.ndarray] = {}
 
-    def _mention_tokens(self, mention: Mention) -> None:
-        stop = self._extractor.stopwords
-        text_seq = tuple(
-            t.text for t in tokenize(mention.surface) if t.text not in stop
-        )
-        ctx_tokens = context_window(self.tokens, mention.start, self._extractor.window)
-        ctx_seq = tuple(t.text for t in ctx_tokens if t.text not in stop)
-        self._text_seqs[mention.id] = text_seq
-        self._ctx_seqs[mention.id] = ctx_seq
-        self._text_vecs[mention.id] = term_freq(text_seq)
-        self._ctx_vecs[mention.id] = term_freq(ctx_seq)
-
-    def mention_text_vector(self, mention: Mention) -> TermVector:
-        if mention.id not in self._text_vecs:
-            self._mention_tokens(mention)
-        return self._text_vecs[mention.id]
-
-    def mention_context_vector(self, mention: Mention) -> TermVector:
-        if mention.id not in self._ctx_vecs:
-            self._mention_tokens(mention)
-        return self._ctx_vecs[mention.id]
-
-    def mention_text_sequence(self, mention: Mention) -> tuple[str, ...]:
-        if mention.id not in self._text_seqs:
-            self._mention_tokens(mention)
-        return self._text_seqs[mention.id]
-
-    def mention_context_sequence(self, mention: Mention) -> tuple[str, ...]:
-        if mention.id not in self._ctx_seqs:
-            self._mention_tokens(mention)
-        return self._ctx_seqs[mention.id]
+    def mention(self, mention: Mention) -> MentionTerms:
+        terms = self._mentions.get(mention.id)
+        if terms is None:
+            stop = self._extractor.stopwords
+            text_seq = tuple(t.text for t in tokenize(mention.surface) if t.text not in stop)
+            ctx_tokens = context_window(self.tokens, mention.start, self._extractor.window)
+            ctx_seq = tuple(t.text for t in ctx_tokens if t.text not in stop)
+            terms = MentionTerms(text_seq, ctx_seq, term_freq(text_seq), term_freq(ctx_seq))
+            self._mentions[mention.id] = terms
+        return terms
 
 
 class FeatureExtractor:
@@ -309,10 +300,6 @@ class FeatureExtractor:
         # row m: the boolean features of an assignment whose ANDed bitmask is m
         self._mask_features = np.zeros((masks.size, len(self.registry)))
         self._mask_features[:, bool_idx] = (masks[:, None] >> np.arange(bool_idx.size)) & 1
-        self._entity_text: dict[str, TermVector] = {}
-        self._entity_top: dict[str, TermVector] = {}
-        self._entity_tokens: dict[str, list] = {}
-        self._entity_ctx: dict[tuple[str, str], TermVector] = {}
         self._entity_data: dict[str, _EntityData] = {}
         self._pair_vectors: dict[tuple[str, str], np.ndarray] = {}
 
@@ -321,48 +308,21 @@ class FeatureExtractor:
 
     # -- entity-side caches ---------------------------------------------------
 
-    def _page_tokens(self, eid: str):
-        if eid not in self._entity_tokens:
-            self._entity_tokens[eid] = tokenize(self.index.entries[eid].text)
-        return self._entity_tokens[eid]
-
-    def _entity_text_vector(self, eid: str) -> TermVector:
-        if eid not in self._entity_text:
-            tokens = self._page_tokens(eid)
-            self._entity_text[eid] = term_freq((t.text for t in tokens), self.stopwords)
-        return self._entity_text[eid]
-
-    def _entity_top_vector(self, eid: str) -> TermVector:
-        if eid not in self._entity_top:
-            full = self._entity_text_vector(eid)
-            if len(full) <= self.top_n:
-                self._entity_top[eid] = full
-            else:
-                ranked = sorted(full.items(), key=lambda kv: (-kv[1], kv[0]))
-                self._entity_top[eid] = dict(ranked[: self.top_n])
-        return self._entity_top[eid]
-
-    def _entity_context_vector(self, eid: str, surface: str) -> TermVector:
+    def _page_context(self, data: _EntityData, surface: str) -> TermVector:
         """Window around the first occurrence of the surface in the page text,
         falling back to the leading window of the page."""
-        key = (eid, normalize_name(surface))
-        if key in self._entity_ctx:
-            return self._entity_ctx[key]
-        tokens = self._page_tokens(eid)
-        needle = tuple(t.text for t in tokenize(surface))
-        anchor = None
-        if needle:
-            texts = [t.text for t in tokens]
-            for i in range(len(texts) - len(needle) + 1):
-                if tuple(texts[i:i + len(needle)]) == needle:
-                    anchor = tokens[i].start
-                    break
-        if anchor is None:
-            vec = term_freq((t.text for t in tokens[: self.window]), self.stopwords)
-        else:
-            window_tokens = context_window(tokens, anchor, self.window)
+        key = normalize_name(surface)
+        vec = data.ctx_vecs.get(key)
+        if vec is None:
+            tokens = data.tokens
+            needle = tuple(t.text for t in tokenize(surface))
+            first = next(contiguous_matches(needle, tuple(t.text for t in tokens)), None)
+            if first is None:
+                window_tokens = tokens[: self.window]
+            else:
+                window_tokens = context_window(tokens, tokens[first].start, self.window)
             vec = term_freq((t.text for t in window_tokens), self.stopwords)
-        self._entity_ctx[key] = vec
+            data.ctx_vecs[key] = vec
         return vec
 
     def _data(self, eid: str) -> _EntityData:
@@ -403,23 +363,17 @@ class FeatureExtractor:
             view._partials[cache_key] = vec
             return vec
 
-        text_m = view.mention_text_vector(mention)
-        ctx_m = view.mention_context_vector(mention)
-        text_e = self._entity_text_vector(eid)
-        top_e = self._entity_top_vector(eid)
-        ctx_e = self._entity_context_vector(eid, mention.surface)
-        vec[idx["cos_text_text"]] = cosine(text_e, text_m)
-        vec[idx["cos_text_ctx"]] = cosine(text_e, ctx_m)
-        vec[idx["cos_ctx_text"]] = cosine(ctx_e, text_m)
-        vec[idx["cos_ctx_ctx"]] = cosine(ctx_e, ctx_m)
-        vec[idx["cos_top_text"]] = cosine(top_e, text_m)
-        vec[idx["cos_top_ctx"]] = cosine(top_e, ctx_m)
-
+        terms = view.mention(mention)
         data = self._data(eid)
-        sides = {
-            "text": view.mention_text_sequence(mention),
-            "ctx": view.mention_context_sequence(mention),
-        }
+        ctx_e = self._page_context(data, mention.surface)
+        vec[idx["cos_text_text"]] = cosine(data.text_vec, terms.text_vec)
+        vec[idx["cos_text_ctx"]] = cosine(data.text_vec, terms.ctx_vec)
+        vec[idx["cos_ctx_text"]] = cosine(ctx_e, terms.text_vec)
+        vec[idx["cos_ctx_ctx"]] = cosine(ctx_e, terms.ctx_vec)
+        vec[idx["cos_top_text"]] = cosine(data.top_vec, terms.text_vec)
+        vec[idx["cos_top_ctx"]] = cosine(data.top_vec, terms.ctx_vec)
+
+        sides = {"text": terms.text_seq, "ctx": terms.ctx_seq}
         for relation in LINK_RELATIONS:
             sequences = data.name_sequences[relation]
             for side, tokens in sides.items():

@@ -117,8 +117,8 @@ def toy_kb_entries() -> list[KbEntry]:
     ]
 
 
-def toy_index(max_candidates: int = 40):
-    return build_index(toy_kb_entries(), max_candidates=max_candidates)
+def toy_index():
+    return build_index(toy_kb_entries())
 
 
 def home_depot_document() -> MentionDocument:

@@ -22,7 +22,7 @@ from .text_vsm import tokenize
 NIL = "NIL"
 
 _INDEX_MAGIC = b"ELIX"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 class KbError(ValueError):
@@ -119,7 +119,6 @@ class AnchorIndex:
     redirect_map: dict[str, str]
     outlink_counts: dict[str, dict[str, int]]  # page id -> resolved target id -> link count
     dangling_links: int = 0
-    max_candidates: int = 40
     _token_to_anchors: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _anchor_tokens: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
 
@@ -185,14 +184,12 @@ class AnchorIndex:
             return plist
         return self._subword_postings(key)
 
-    def fast_search(self, surface: str, k: int | None = None) -> list[Candidate]:
+    def fast_search(self, surface: str, k: int) -> list[Candidate]:
         """Top-k candidates for a surface with link priors, NIL appended.
 
         Priors are computed over the full posting list, not the truncated one.
         An unknown surface yields just the NIL candidate.
         """
-        if k is None:
-            k = self.max_candidates
         if k < 1:
             raise ValueError("candidate cap k must be >= 1")
         plist = self.lookup(surface)
@@ -226,10 +223,7 @@ class AnchorIndex:
         Only the entries are stored; all derived structures are rebuilt on
         load, so equal KBs serialize to byte-identical blobs.
         """
-        payload = {
-            "max_candidates": self.max_candidates,
-            "entries": {eid: entry.to_record() for eid, entry in sorted(self.entries.items())},
-        }
+        payload = {"entries": {eid: entry.to_record() for eid, entry in sorted(self.entries.items())}}
         data = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         return _INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(data.encode("utf-8"), 6)
 
@@ -247,7 +241,7 @@ class AnchorIndex:
                 )
             payload = json.loads(zlib.decompress(blob[len(_INDEX_MAGIC) + 4:]).decode("utf-8"))
             records = [KbEntry.from_record({"id": eid, **rec}) for eid, rec in payload["entries"].items()]
-            return build_index(records, max_candidates=payload["max_candidates"])
+            return build_index(records)
         except (
             zlib.error,
             struct.error,
@@ -269,7 +263,7 @@ class AnchorIndex:
             return AnchorIndex.from_bytes(fh.read())
 
 
-def build_index(kb_records: Iterable[KbEntry], max_candidates: int = 40) -> AnchorIndex:
+def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     """Aggregate KB records into an AnchorIndex.
 
     Outlink targets resolve against entry ids first, then the redirect map.
@@ -328,7 +322,6 @@ def build_index(kb_records: Iterable[KbEntry], max_candidates: int = 40) -> Anch
         redirect_map=redirect_map,
         outlink_counts={eid: dict(c) for eid, c in outlink_counts.items()},
         dangling_links=dangling,
-        max_candidates=max_candidates,
     )
 
 

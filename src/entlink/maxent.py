@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import PipelineConfig
+from .evaluator import is_nil_label
 from .features import (
     ComponentChain,
     FeatureExtractor,
@@ -29,7 +30,7 @@ from .features import (
 from .kb_store import NIL, AnchorIndex, Candidate, FormatVersionError, normalize_name
 from .segmenter import MentionDocument, candidate_lists, connected_components
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class TrainingError(RuntimeError):
@@ -41,7 +42,6 @@ class Model:
     """Trained feature weights plus everything needed to decode."""
 
     weights: np.ndarray
-    sigma: float
     registry: FeatureRegistry
     pmi: PmiTable
     config: PipelineConfig
@@ -52,17 +52,12 @@ class Model:
             raise ValueError("weight vector length must match the feature registry")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def log_score(self, feature_vector: np.ndarray) -> float:
-        return float(np.dot(self.weights, feature_vector))
+        self.config.validate()
 
     def save(self, path: str) -> None:
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
-            "sigma": self.sigma,
-            "registry": self.registry.to_list(),
+            "registry": list(self.registry.names),
             "weights": self.weights.tolist(),
             "pmi": self.pmi.to_payload(),
             "config": self.config.to_dict(),
@@ -82,12 +77,11 @@ class Model:
             version = payload.get("format_version")
             if version != MODEL_FORMAT_VERSION:
                 raise FormatVersionError(f"model format version {version}, expected {MODEL_FORMAT_VERSION}")
-            registry = FeatureRegistry.from_list(payload["registry"])
+            registry = FeatureRegistry(payload["registry"])
             if set(registry.names) != set(default_registry().names):
                 raise FormatVersionError("model features do not match this version's feature set")
             return Model(
                 weights=np.array(payload["weights"], dtype=float),
-                sigma=float(payload["sigma"]),
                 registry=registry,
                 pmi=PmiTable.from_payload(payload["pmi"]),
                 config=PipelineConfig.from_dict(payload["config"]),
@@ -316,9 +310,10 @@ def build_training_instances(
     """Turn gold-labeled documents into per-component training instances.
 
     Components containing any unlabeled mention are skipped (and counted).
-    When retrieval misses a mention's gold entity, the gold candidate is
-    injected into that mention's list so the gold assignment is one of the
-    chain's assignments; injections are counted in the stats.
+    A NIL cluster label (`NIL0001`) trains as NIL. When retrieval misses a
+    mention's gold entity, the gold candidate is injected into that mention's
+    list so the gold assignment is one of the chain's assignments; injections
+    are counted in the stats.
     """
     instances: list[TrainingInstance] = []
     stats = BuildStats()
@@ -333,7 +328,7 @@ def build_training_instances(
             injected = False
             gold_choice = []
             for i, mention in enumerate(component.mentions):
-                gold = mention.gold
+                gold = NIL if is_nil_label(mention.gold) else mention.gold
                 ids = [c.entity_id for c in lists[i]]
                 if gold not in ids:
                     # keep NIL last so list order stays prior-ranked
@@ -394,7 +389,7 @@ def train(
     weights, trace, converged = fit_weights(
         instances, config.sigma, len(registry), tol=tol, max_iter=max_iter, history=history
     )
-    model = Model(weights=weights, sigma=config.sigma, registry=registry, pmi=pmi, config=config)
+    model = Model(weights=weights, registry=registry, pmi=pmi, config=config)
     return TrainResult(model=model, objective_trace=trace, converged=converged, stats=stats)
 
 
@@ -489,7 +484,8 @@ def write_predictions(predictions: Iterable[Prediction], path: str) -> None:
 
 
 def read_predictions(path: str) -> list[dict]:
-    """Read prediction records written by `write_predictions`."""
+    """Read prediction records written by `write_predictions`; each must be
+    an object with string `doc_id` and `mention_id`, and a `prediction`."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -497,7 +493,17 @@ def read_predictions(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("doc_id"), str)
+                and isinstance(record.get("mention_id"), str)
+                and "prediction" in record
+            ):
+                raise ValueError(
+                    f"{path}:{lineno}: a prediction needs string 'doc_id' and 'mention_id', and 'prediction'"
+                )
+            records.append(record)
     return records

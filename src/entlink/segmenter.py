@@ -38,12 +38,16 @@ class MentionDocument:
         UTF-8 slices of the text, and mention ids must be unique in the
         document.
         """
+        if not isinstance(record, dict):
+            raise DocumentError("a document record must be a JSON object")
         try:
             doc_id = str(record["doc_id"])
             text = str(record["text"])
             raw_mentions = record["mentions"]
         except KeyError as exc:
             raise DocumentError(f"document record missing field {exc}") from None
+        if not isinstance(raw_mentions, list):
+            raise DocumentError(f"doc {doc_id!r}: 'mentions' must be a list")
         encoded = text.encode("utf-8")
         mentions = []
         seen: set[str] = set()

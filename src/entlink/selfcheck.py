@@ -81,7 +81,7 @@ def _check_decode_brute_force(seed: int) -> None:
     config = PipelineConfig()
     for scale in (0.0, 1.0, 3.0):
         weights = rng.normal(scale=scale, size=len(registry)) if scale else np.zeros(len(registry))
-        model = Model(weights, 0.5, registry, extractor.pmi, config)
+        model = Model(weights, registry, extractor.pmi, config)
         for doc in _fixture_documents():
             got = {p.mention_id: (p.entity_id, p.score) for p in decode(model, doc, index, extractor=extractor)}
             view = extractor.document_view(doc)
@@ -107,40 +107,40 @@ def _check_decode_brute_force(seed: int) -> None:
                 )
 
 
+def closure_oracle(doc, gap: int) -> set[frozenset[str]]:
+    """Connected components as sets of mention ids, by brute force: O(n^2)
+    pairwise token distances followed by repeated-pass transitive closure,
+    independent of the union-find in `connected_components`."""
+    tokens = tokenize(doc.text)
+    mentions = doc.mentions
+    n = len(mentions)
+    linked = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            lo, hi = (a, b) if mentions[a].start <= mentions[b].start else (b, a)
+            between = sum(
+                1 for t in tokens if t.start >= mentions[lo].end and t.end <= mentions[hi].start
+            )
+            linked[a][b] = between <= gap
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if linked[a][b]:
+                    for c in range(n):
+                        if linked[b][c] and not linked[a][c]:
+                            linked[a][c] = True
+                            changed = True
+    return {frozenset(mentions[b].id for b in range(n) if linked[a][b]) for a in range(n)}
+
+
 def _check_components(seed: int) -> None:
     rng = random.Random(seed)
     for i in range(10):
         doc = fixtures.random_mention_document(rng, f"rand-{i}", max_mentions=20)
-        got = [
-            frozenset(m.id for m in comp.mentions)
-            for comp in connected_components(doc, gap=4)
-        ]
-        # brute-force oracle: pairwise distances, then repeated-pass closure
-        tokens = tokenize(doc.text)
-        mentions = doc.mentions
-        n = len(mentions)
-        linked = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                lo, hi = (a, b) if mentions[a].start <= mentions[b].start else (b, a)
-                between = sum(
-                    1
-                    for t in tokens
-                    if t.start >= mentions[lo].end and t.end <= mentions[hi].start
-                )
-                linked[a][b] = between <= 4
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                for b in range(n):
-                    if linked[a][b]:
-                        for c in range(n):
-                            if linked[b][c] and not linked[a][c]:
-                                linked[a][c] = True
-                                changed = True
-        expected = {frozenset(mentions[b].id for b in range(n) if linked[a][b]) for a in range(n)}
-        assert set(got) == expected, f"component mismatch on doc rand-{i}"
+        got = {frozenset(m.id for m in comp.mentions) for comp in connected_components(doc, gap=4)}
+        assert got == closure_oracle(doc, 4), f"component mismatch on doc rand-{i}"
 
 
 def _check_index_determinism(seed: int) -> None:
@@ -166,7 +166,7 @@ def _check_end_to_end() -> None:
     weights[registry.index("title_cooccurrence")] = 1.0
     weights[registry.index("link_prior")] = 0.1
     pmi = train_pmi([], index)
-    model = Model(weights=weights, sigma=0.5, registry=registry, pmi=pmi, config=config)
+    model = Model(weights=weights, registry=registry, pmi=pmi, config=config)
     doc = fixtures.home_depot_document()
     predictions = decode(model, doc, index)
     labels = [p.entity_id for p in predictions]

@@ -86,21 +86,15 @@ def term_freq(terms: Iterable[str], stopwords: frozenset[str] | set[str] = froze
     return {term: float(n) for term, n in counts.items()}
 
 
-def text_vector(text: str, stopwords: frozenset[str] | set[str] = frozenset()) -> TermVector:
-    """Term-frequency vector over all non-stopword tokens of `text`."""
-    return term_freq((t.text for t in tokenize(text)), stopwords)
-
-
-def top_vector(text: str, n: int, stopwords: frozenset[str] | set[str] = frozenset()) -> TermVector:
-    """Restriction of text_vector to the n most frequent terms.
+def top_terms(vector: TermVector, n: int) -> TermVector:
+    """Restriction of a term vector to its n heaviest terms.
 
     Ties are broken lexicographically so the result does not depend on
     tokenization order.
     """
-    full = text_vector(text, stopwords)
-    if len(full) <= n:
-        return full
-    ranked = sorted(full.items(), key=lambda kv: (-kv[1], kv[0]))
+    if len(vector) <= n:
+        return vector
+    ranked = sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))
     return dict(ranked[:n])
 
 
@@ -117,19 +111,6 @@ def context_window(tokens: TokenStream, anchor_offset: int, window: int) -> list
     left = tokens[max(0, split - half):split]
     right = tokens[split:split + half]
     return left + right
-
-
-def context_vector(
-    text: str,
-    anchor_offset: int,
-    window: int = 100,
-    stopwords: frozenset[str] | set[str] = frozenset(),
-) -> TermVector:
-    """Term-frequency vector of the window around a byte offset in `text`."""
-    if anchor_offset < 0 or anchor_offset > len(text.encode("utf-8")):
-        raise ValueError(f"anchor offset {anchor_offset} outside text")
-    window_tokens = context_window(tokenize(text), anchor_offset, window)
-    return term_freq((t.text for t in window_tokens), stopwords)
 
 
 def cosine(a: TermVector, b: TermVector) -> float:

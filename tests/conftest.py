@@ -11,36 +11,7 @@ from entlink.fixtures import doc_from_spans
 from entlink.kb_store import KbEntry, build_index
 from entlink.maxent import ChainStates, Model, TrainingInstance
 from entlink.segmenter import candidate_lists
-from entlink.text_vsm import tokenize
-
-
-def closure_oracle(doc, gap):
-    """O(n^2) pairwise distances followed by repeated-pass transitive closure.
-
-    Independent of the union-find implementation under test.
-    """
-    tokens = tokenize(doc.text)
-    mentions = doc.mentions
-    n = len(mentions)
-    linked = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lo, hi = (a, b) if mentions[a].start <= mentions[b].start else (b, a)
-            between = sum(
-                1 for t in tokens if t.start >= mentions[lo].end and t.end <= mentions[hi].start
-            )
-            linked[a][b] = between <= gap
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if linked[a][b]:
-                    for c in range(n):
-                        if linked[b][c] and not linked[a][c]:
-                            linked[a][c] = True
-                            changed = True
-    return {frozenset(mentions[b].id for b in range(n) if linked[a][b]) for a in range(n)}
+from entlink.selfcheck import closure_oracle  # noqa: F401  (re-exported to the tests)
 
 _VOCAB = [f"v{i}" for i in range(30)]
 _CATEGORIES = [f"Cat {i}" for i in range(6)]
@@ -100,7 +71,6 @@ def random_model(rng: random.Random, scale: float = 1.0) -> Model:
     weights = np.array([rng.uniform(-scale, scale) for _ in range(len(registry))])
     return Model(
         weights=weights,
-        sigma=0.5,
         registry=registry,
         pmi=PmiTable(),
         config=PipelineConfig(max_candidates=5),

@@ -277,11 +277,11 @@ def test_10_end_to_end_home_depot_fixture():
         weights = np.zeros(len(registry))
         weights[registry.index("title_cooccurrence")] = 1.0
         weights[registry.index("link_prior")] = 0.1
-        model = Model(weights, 0.5, registry, PmiTable(), config)
+        model = Model(weights, registry, PmiTable(), config)
         labels = [p.entity_id for p in decode(model, doc, index)]
         assert labels == ["HOME_DEPOT", "ROBERT_NARDELLI"]
 
-        zero_model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), config)
+        zero_model = Model(np.zeros(len(registry)), registry, PmiTable(), config)
         labels = [p.entity_id for p in decode(zero_model, doc, index)]
         # all scores tie, so the smallest assignment id sequence wins
         assert labels == ["HOME_DEPOT", NIL]

@@ -76,7 +76,7 @@ def test_decode_equals_oracle_argmax(seed, n_mentions, kind):
     index = random_boolean_kb(rng)
     doc = random_chain_doc(rng, "d", n_mentions)
     weights = make_weights(rng, kind)
-    model = Model(weights, 0.5, REGISTRY, PmiTable(), CONFIG)
+    model = Model(weights, REGISTRY, PmiTable(), CONFIG)
     _, assignments, features = oracle(index, doc)
     scores = [sum(float(w) * float(f) for w, f in zip(weights, row)) for row in features]
     predictions = decode(model, doc, index)

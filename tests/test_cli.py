@@ -2,7 +2,9 @@
 
 import json
 import random
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -51,13 +53,6 @@ class TestBuildIndex:
         out = tmp_path / "toy.idx"
         assert run(["build-index", "--kb", str(tmp_path / "missing.jsonl"), "--out", str(out)]) != 0
 
-    def test_bad_max_candidates(self, toy_paths):
-        tmp_path, kb_path, _ = toy_paths
-        code = run(
-            ["build-index", "--kb", kb_path, "--out", str(tmp_path / "x"), "--max-candidates", "0"]
-        )
-        assert code != 0
-
 
 class TestPipeline:
     def test_config_echoed(self, toy_paths, caplog):
@@ -99,7 +94,7 @@ class TestPipeline:
         ) == 0
         out = capsys.readouterr().out
         assert "bot" in out
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert 0.0 <= report["f1"] <= 1.0
 
         assert run(["eval", "--metric", "b3plus", "--pred", preds_path, "--gold", docs_path]) == 0
@@ -138,7 +133,7 @@ class TestPipeline:
             ["link", "--model", model_path, "--index", index_path, "--in", docs_path,
              "--out", parallel, "--jobs", "4"]
         ) == 0
-        assert open(serial).read() == open(parallel).read()
+        assert Path(serial).read_text() == Path(parallel).read_text()
 
 
 class TestErrors:
@@ -203,10 +198,24 @@ class TestErrors:
         code = run(["eval", "--metric", "bot", "--pred", str(preds_path), "--gold", str(gold_path)])
         assert code == 1
 
-    def test_budget_flag_removed(self, toy_paths):
-        tmp_path, _, docs_path = toy_paths
-        with pytest.raises(SystemExit):
-            run(["train", "--kb-index", "x.idx", "--train", docs_path, "--out", "m.json", "--budget", "5"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            pytest.param(c, f, id=f"{c}-{f[2:]}")
+            for c, f in [("train", "--budget"), ("build-index", "--max-candidates"), ("build-index", "--seed"),
+                         ("train", "--seed"), ("link", "--seed"), ("eval", "--seed")]
+        ],
+    )
+    def test_removed_flags_rejected(self, command, flag):
+        argv = {
+            "build-index": ["build-index", "--kb", "kb.jsonl", "--out", "x.idx"],
+            "train": ["train", "--kb-index", "x.idx", "--train", "d.jsonl", "--out", "m.json"],
+            "link": ["link", "--model", "m.json", "--index", "x.idx", "--in", "d.jsonl", "--out", "p.jsonl"],
+            "eval": ["eval", "--metric", "bot", "--pred", "p.jsonl", "--gold", "d.jsonl"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + [flag, "1"])
+        assert excinfo.value.code == 2
 
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -257,6 +266,66 @@ class TestCorruptArtifacts:
                     "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["toy.idx", "model.json"])
+    def test_previous_format_exits_1(self, toy_artifacts, tmp_path, caplog, target):
+        """A format-1 index (with max_candidates) or a format-2 model (with
+        sigma beside the config) is rejected, not read."""
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        if target == "toy.idx":
+            blob = toy_artifacts["toy.idx"]
+            payload = json.loads(zlib.decompress(blob[8:]))
+            payload["max_candidates"] = 40
+            old = blob[:4] + struct.pack("<I", 1) + zlib.compress(json.dumps(payload).encode())
+        else:
+            payload = json.loads(toy_artifacts["model.json"])
+            payload.update(format_version=2, sigma=0.5)
+            old = json.dumps(payload).encode()
+        (tmp_path / target).write_bytes(old)
+        code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(tmp_path / "toy.idx"),
+                    "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert any("format version" in r.getMessage() for r in caplog.records)
+
+
+_BAD_DOCUMENTS = {
+    "array": [1, 2],
+    "string": "hello",
+    "mentions-not-a-list": {"doc_id": "d", "text": "Home Depot", "mentions": 5},
+}
+_BAD_PREDICTIONS = {
+    "array": [1, 2],
+    "string": "hello",
+    "no-doc-id": {"mention_id": "m1", "prediction": "NIL"},
+    "no-mention-id": {"doc_id": "doc-home-depot", "prediction": "NIL"},
+    "no-prediction": {"doc_id": "doc-home-depot", "mention_id": "m1"},
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize(
+        "command,record",
+        [pytest.param(c, r, id=f"{c}-{name}") for name, r in _BAD_DOCUMENTS.items()
+         for c in ("train", "link", "eval-gold")]
+        + [pytest.param("eval-pred", r, id=f"eval-pred-{name}") for name, r in _BAD_PREDICTIONS.items()],
+    )
+    def test_exits_1(self, toy_artifacts, tmp_path, caplog, command, record):
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        index, model, docs = (str(tmp_path / n) for n in ("toy.idx", "model.json", "docs.jsonl"))
+        bad, no_preds = str(tmp_path / "bad.jsonl"), str(tmp_path / "no_preds.jsonl")
+        write_jsonl(bad, [record])
+        write_jsonl(no_preds, [])
+        argv = {
+            "train": ["train", "--kb-index", index, "--train", bad, "--out", str(tmp_path / "m.json")],
+            "link": ["link", "--model", model, "--index", index, "--in", bad, "--out", str(tmp_path / "p.jsonl")],
+            "eval-gold": ["eval", "--metric", "bot", "--pred", no_preds, "--gold", bad],
+            "eval-pred": ["eval", "--metric", "b3plus", "--pred", bad, "--gold", docs],
+        }[command]
+        assert run(argv) == 1
+        if command == "eval-pred":
+            assert any(f"{bad}:1:" in r.getMessage() for r in caplog.records)
+
 
 class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
@@ -281,11 +350,10 @@ class TestDeterminism:
             index_path = str(tmp_path / f"idx-{tag}")
             model_path = str(tmp_path / f"model-{tag}")
             preds_path = str(tmp_path / f"preds-{tag}")
-            assert run(["build-index", "--kb", str(kb_path), "--out", index_path,
-                        "--max-candidates", "5"]) == 0
+            assert run(["build-index", "--kb", str(kb_path), "--out", index_path]) == 0
             assert run(["train", "--kb-index", index_path, "--train", str(train_path),
                         "--out", model_path, "--max-candidates", "5"]) == 0
             assert run(["link", "--model", model_path, "--index", index_path,
                         "--in", str(test_path), "--out", preds_path]) == 0
-            outputs.append(open(preds_path).read())
+            outputs.append(Path(preds_path).read_text())
         assert outputs[0] == outputs[1]

@@ -4,11 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entlink.features import (
     FeatureExtractor,
     FeatureRegistry,
     PmiTable,
+    contiguous_matches,
     count_contiguous,
     default_registry,
     jaccard,
@@ -17,7 +20,7 @@ from entlink.features import (
 from entlink.fixtures import doc_from_spans, home_depot_document, toy_index, toy_kb_entries
 from entlink.kb_store import NIL, Candidate, KbEntry, build_index
 from entlink.segmenter import connected_components
-from entlink.text_vsm import cosine, text_vector
+from entlink.text_vsm import cosine, term_freq, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +42,7 @@ class TestRegistry:
 
     def test_round_trip(self):
         registry = default_registry()
-        assert FeatureRegistry.from_list(registry.to_list()) == registry
+        assert FeatureRegistry(list(registry.names)) == registry
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -60,6 +63,15 @@ class TestHelpers:
         assert count_contiguous(("a",), hay) == 3
         assert count_contiguous(("z",), hay) == 0
         assert count_contiguous((), hay) == 0
+
+    @given(
+        needle=st.lists(st.sampled_from("ab"), max_size=3).map(tuple),
+        haystack=st.lists(st.sampled_from("abc"), max_size=12).map(tuple),
+    )
+    def test_contiguous_matches_every_start_position(self, needle, haystack):
+        n = len(needle)
+        expected = [i for i in range(len(haystack)) if n and haystack[i:i + n] == needle]
+        assert list(contiguous_matches(needle, haystack)) == expected
 
 
 class TestMentionEntityFeatures:
@@ -125,8 +137,8 @@ class TestMentionEntityFeatures:
         m1 = doc.mentions[0]
         vec = extractor.mention_entity_features(m1, Candidate("HOME_DEPOT", 1.0), view)
         expected = cosine(
-            text_vector(index.entries["HOME_DEPOT"].text),
-            text_vector(m1.surface),
+            term_freq(t.text for t in tokenize(index.entries["HOME_DEPOT"].text)),
+            term_freq(t.text for t in tokenize(m1.surface)),
         )
         assert feature(extractor, vec, "cos_text_text") == pytest.approx(expected, abs=1e-12)
         assert expected > 0.0

@@ -1,5 +1,6 @@
 """Classifier tests: probabilities, objective/gradient, training, decoding."""
 
+import dataclasses
 import json
 import math
 import random
@@ -18,7 +19,7 @@ from conftest import (
 
 from entlink.config import PipelineConfig
 from entlink.features import ComponentChain, FeatureExtractor, PmiTable, default_registry
-from entlink.fixtures import home_depot_document, synthetic_corpus, toy_index
+from entlink.fixtures import home_depot_document, synthetic_corpus, toy_documents, toy_index
 from entlink.kb_store import NIL, Candidate, FormatVersionError, build_index
 from entlink.maxent import (
     MODEL_FORMAT_VERSION,
@@ -183,7 +184,7 @@ class TestDecode:
         weights = np.zeros(len(registry))
         weights[registry.index("title_cooccurrence")] = 1.0
         weights[registry.index("link_prior")] = 0.1
-        model = Model(weights, 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(weights, registry, PmiTable(), PipelineConfig())
         predictions = decode(model, home_depot_document(), index)
         assert [p.entity_id for p in predictions] == ["HOME_DEPOT", "ROBERT_NARDELLI"]
         assert all(0.0 < p.score <= 1.0 for p in predictions)
@@ -191,7 +192,7 @@ class TestDecode:
     def test_zero_weights_tie_break_lexicographic(self):
         index = toy_index()
         registry = default_registry()
-        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig())
         predictions = decode(model, home_depot_document(), index)
         # all assignments tie; the smallest id sequence wins
         assert [p.entity_id for p in predictions] == ["HOME_DEPOT", NIL]
@@ -271,7 +272,7 @@ class TestDecode:
         registry = default_registry()
         weights = np.zeros(len(registry))
         weights[registry.index("cos_text_ctx")] = 5.0
-        model = Model(weights, 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(weights, registry, PmiTable(), PipelineConfig())
         doc = doc_from_spans("zh", "李娜 夺得 网球 大 满贯 冠军", [("m", "李娜", None)])
         (prediction,) = decode(model, doc, index)
         assert prediction.entity_id == "LI_NA_TENNIS"
@@ -279,7 +280,7 @@ class TestDecode:
     def test_registry_mismatch_rejected(self):
         index = toy_index()
         registry = default_registry()
-        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig())
         other = FeatureExtractor(index, PmiTable(), default_registry())
         other.registry = None  # simulate a registry mismatch
         with pytest.raises(ValueError):
@@ -381,6 +382,19 @@ class TestTraining:
         assert total > 0
         assert correct / total >= 0.9
 
+    def test_nil_cluster_gold_trains_as_nil(self):
+        index = toy_index()
+        docs = toy_documents()
+        relabelled = [
+            dataclasses.replace(d, mentions=[dataclasses.replace(m, gold="NIL0001") if m.gold == NIL else m
+                                             for m in d.mentions])
+            for d in docs
+        ]
+        assert any(m.gold == "NIL0001" for d in relabelled for m in d.mentions)
+        plain, clustered = train(docs, index), train(relabelled, index)
+        assert clustered.stats.injected_gold == plain.stats.injected_gold == 0
+        assert np.array_equal(clustered.model.weights, plain.model.weights)
+
     def test_deterministic_given_data_order(self):
         rng = random.Random(4)
         entries, train_docs, _ = synthetic_corpus(rng, n_train=12, n_test=1)
@@ -395,7 +409,7 @@ class TestModelSerialization:
         index = toy_index()
         registry = default_registry()
         weights = np.linspace(-1.0, 1.0, len(registry))
-        model = Model(weights, 0.5, registry, PmiTable({("A", "B"): 0.5}, {"A": 2}, frozenset({"X"})), PipelineConfig())
+        model = Model(weights, registry, PmiTable({("A", "B"): 0.5}, {"A": 2}, frozenset({"X"})), PipelineConfig())
         path = tmp_path / "model.json"
         model.save(str(path))
         loaded = Model.load(str(path))
@@ -411,7 +425,7 @@ class TestModelSerialization:
     def test_version_mismatch_rejected(self, tmp_path):
         index = toy_index()
         registry = default_registry()
-        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig())
         path = tmp_path / "model.json"
         model.save(str(path))
         content = path.read_text().replace(
@@ -423,7 +437,7 @@ class TestModelSerialization:
 
     def test_version_1_model_with_tuple_budget_rejected(self, tmp_path):
         registry = default_registry()
-        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig())
         path = tmp_path / "model.json"
         model.save(str(path))
         payload = json.loads(path.read_text())
@@ -442,13 +456,13 @@ class TestModelSerialization:
             lambda p: p.update(config=[1, 2]),
             lambda p: p.pop("weights"),
             lambda p: p.update(pmi=[]),
-            lambda p: p.update(sigma=None),
+            lambda p: p["config"].update(sigma=None),           # wrong type
             lambda p: p.update(registry=p["registry"][:-1] + ["not_a_feature"]),
         ],
     )
     def test_malformed_model_rejected(self, tmp_path, edit):
         registry = default_registry()
-        model = Model(np.zeros(len(registry)), 0.5, registry, PmiTable(), PipelineConfig())
+        model = Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig())
         path = tmp_path / "model.json"
         model.save(str(path))
         payload = json.loads(path.read_text())
@@ -460,6 +474,6 @@ class TestModelSerialization:
     def test_invalid_model_parameters(self):
         registry = default_registry()
         with pytest.raises(ValueError):
-            Model(np.zeros(3), 0.5, registry, PmiTable(), PipelineConfig())
+            Model(np.zeros(3), registry, PmiTable(), PipelineConfig())
         with pytest.raises(ValueError):
-            Model(np.zeros(len(registry)), 0.0, registry, PmiTable(), PipelineConfig())
+            Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig(sigma=0.0))

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entlink.text_vsm import (
-    context_vector,
-    context_window,
-    cosine,
-    text_vector,
-    tokenize,
-    top_vector,
-)
+from entlink.text_vsm import context_window, cosine, term_freq, tokenize, top_terms
+
+
+def terms(tokens):
+    return [t.text for t in tokens]
 
 
 class TestTokenize:
@@ -50,37 +47,32 @@ class TestTokenize:
 
 class TestVectors:
     def test_text_vector_counts(self):
-        assert text_vector("the cat and the hat") == {
+        assert term_freq(terms(tokenize("the cat and the hat"))) == {
             "the": 2.0, "cat": 1.0, "and": 1.0, "hat": 1.0,
         }
 
     def test_text_vector_stopwords(self):
-        assert text_vector("the cat and the hat", {"the", "and"}) == {"cat": 1.0, "hat": 1.0}
+        assert term_freq(terms(tokenize("the cat and the hat")), {"the", "and"}) == {"cat": 1.0, "hat": 1.0}
 
     def test_top_vector_restriction(self):
-        text = "b b a a c"
-        full = text_vector(text)
-        assert top_vector(text, 10**9) == full
+        full = term_freq(terms(tokenize("b b a a c")))
+        assert top_terms(full, 10**9) == full
         # ties broken lexicographically: a and b both occur twice
-        assert top_vector(text, 1) == {"a": 2.0}
-        assert top_vector(text, 2) == {"a": 2.0, "b": 2.0}
+        assert top_terms(full, 1) == {"a": 2.0}
+        assert top_terms(full, 2) == {"a": 2.0, "b": 2.0}
 
     def test_context_vector_full_window_equals_text_vector(self):
-        text = "one two three four five six"
-        assert context_vector(text, 8, window=100) == text_vector(text)
+        tokens = tokenize("one two three four five six")
+        assert term_freq(terms(context_window(tokens, 8, 100))) == term_freq(terms(tokens))
 
     def test_context_vector_window_split(self):
-        text = "a b c d e f g"
+        tokens = tokenize("a b c d e f g")
         # anchor at 'd' (byte 6), window 4: two tokens per side of the split
-        assert context_vector(text, 6, window=4) == {"b": 1.0, "c": 1.0, "d": 1.0, "e": 1.0}
+        assert term_freq(terms(context_window(tokens, 6, 4))) == {"b": 1.0, "c": 1.0, "d": 1.0, "e": 1.0}
 
     def test_context_window_at_start(self):
         tokens = tokenize("a b c d")
         assert [t.text for t in context_window(tokens, 0, 4)] == ["a", "b"]
-
-    def test_context_vector_rejects_bad_offset(self):
-        with pytest.raises(ValueError):
-            context_vector("abc", 99)
 
 
 class TestCosine:
