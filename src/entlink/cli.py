@@ -176,6 +176,12 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     records = read_predictions(args.pred)
+    seen: set[tuple[str, str]] = set()
+    for r in records:
+        key = (r["doc_id"], r["mention_id"])
+        if key in seen:
+            raise EvalError(f"{args.pred}: two predictions for mention {key[1]!r} of document {key[0]!r}")
+        seen.add(key)
     gold_docs = load_documents(args.gold)
     pred_doc_ids = {r["doc_id"] for r in records}
     gold_doc_ids = {d.doc_id for d in gold_docs}

@@ -63,6 +63,8 @@ class KbEntry:
     @staticmethod
     def from_record(record: dict) -> "KbEntry":
         """Build an entry from one parsed KB record, validating required fields."""
+        if not isinstance(record, dict):
+            raise KbError(f"KB record must be a JSON object, not {type(record).__name__}")
         try:
             eid = record["id"]
             title = record["title"]
@@ -73,6 +75,9 @@ class KbEntry:
             raise KbError("KB record id must be a non-empty string")
         if eid == NIL:
             raise KbError(f"KB id {NIL!r} is reserved")
+        for key in ("categories", "links", "redirects"):
+            if not isinstance(record.get(key, []), list):
+                raise KbError(f"entry {eid!r}: {key!r} must be a list")
         links = []
         for link in record.get("links", ()):
             try:
@@ -334,6 +339,9 @@ def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
                 continue
             try:
                 record = json.loads(line)
+                entry = KbEntry.from_record(record)
             except json.JSONDecodeError as exc:
                 raise KbError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            yield KbEntry.from_record(record)
+            except KbError as exc:
+                raise KbError(f"{path}:{lineno}: {exc}") from None
+            yield entry

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import unicodedata
 
 import numpy as np
 
@@ -12,6 +13,53 @@ from entlink.kb_store import KbEntry, build_index
 from entlink.maxent import ChainStates, Model, TrainingInstance
 from entlink.segmenter import candidate_lists
 from entlink.selfcheck import closure_oracle  # noqa: F401  (re-exported to the tests)
+from entlink.text_vsm import _CJK_RANGES, Token
+
+# -- per-character reference tokenizer ------------------------------------------------
+
+
+# Membership in _CJK_RANGES as one set lookup: scanning the ten ranges for
+# every character would more than double the time of the exhaustive tests in
+# test_text_vsm.py.
+_CJK_CODE_POINTS = frozenset(cp for lo, hi in _CJK_RANGES for cp in range(lo, hi + 1))
+
+
+def _is_cjk(ch: str) -> bool:
+    return ord(ch) in _CJK_CODE_POINTS
+
+
+def _is_word_char(ch: str) -> bool:
+    # Letters, digits and combining marks form tokens; everything else splits.
+    return unicodedata.category(ch)[0] in ("L", "N", "M")
+
+
+def oracle_tokenize(text: str) -> list[Token]:
+    """The per-character loop that `text_vsm.tokenize` must reproduce exactly:
+    a CJK character is a token; a run of letters, digits and marks is a token;
+    anything else splits. Offsets are UTF-8 byte offsets."""
+    tokens: list[Token] = []
+    buf: list[str] = []
+    buf_start = 0
+    pos = 0
+    for ch in text:
+        width = len(ch.encode("utf-8"))
+        if _is_cjk(ch):
+            if buf:
+                tokens.append(Token("".join(buf).casefold(), buf_start, pos))
+                buf = []
+            tokens.append(Token(ch.casefold(), pos, pos + width))
+        elif _is_word_char(ch):
+            if not buf:
+                buf_start = pos
+            buf.append(ch)
+        elif buf:
+            tokens.append(Token("".join(buf).casefold(), buf_start, pos))
+            buf = []
+        pos += width
+    if buf:
+        tokens.append(Token("".join(buf).casefold(), buf_start, pos))
+    return tokens
+
 
 _VOCAB = [f"v{i}" for i in range(30)]
 _CATEGORIES = [f"Cat {i}" for i in range(6)]

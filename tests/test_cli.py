@@ -326,6 +326,56 @@ class TestMalformedRecords:
         if command == "eval-pred":
             assert any(f"{bad}:1:" in r.getMessage() for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param([1, 2], id="array"),
+            pytest.param("hello", id="string"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "categories": 5}, id="categories-number"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "categories": "Cat"}, id="categories-string"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "redirects": {"B": 1}}, id="redirects-object"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "links": 5}, id="links-number"),
+        ],
+    )
+    def test_build_index_exits_1(self, tmp_path, caplog, record):
+        kb = str(tmp_path / "kb.jsonl")
+        records = [e.to_record() for e in toy_kb_entries()] + [record]
+        write_jsonl(kb, records)
+        assert run(["build-index", "--kb", kb, "--out", str(tmp_path / "x.idx")]) == 1
+        assert not (tmp_path / "x.idx").exists()
+        assert any(r.getMessage().startswith(f"{kb}:{len(records)}: ") for r in caplog.records)
+
+    @pytest.mark.parametrize("metric", ["bot", "b3plus"])
+    def test_eval_duplicate_prediction_exits_1(self, toy_artifacts, tmp_path, caplog, metric):
+        """A second record for one (doc_id, mention_id) is rejected, even when
+        the two agree, for both metrics."""
+        docs = tmp_path / "docs.jsonl"
+        docs.write_bytes(toy_artifacts["docs.jsonl"])
+        records = [
+            {"doc_id": doc["doc_id"], "mention_id": m["id"], "prediction": m.get("gold", "NIL"), "score": 1.0}
+            for doc in map(json.loads, docs.read_text(encoding="utf-8").splitlines())
+            for m in doc["mentions"]
+        ]
+        preds = str(tmp_path / "preds.jsonl")
+        write_jsonl(preds, records)
+        assert run(["eval", "--metric", metric, "--pred", preds, "--gold", str(docs)]) == 0
+        write_jsonl(preds, records + records[:1])
+        assert run(["eval", "--metric", metric, "--pred", preds, "--gold", str(docs)]) == 1
+        assert any("two predictions for mention" in r.getMessage() for r in caplog.records)
+
+    def test_link_lone_surrogate_exits_1(self, toy_artifacts, tmp_path, caplog):
+        """Text with a lone surrogate has no UTF-8 encoding, so it has no byte
+        offsets."""
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        bad = tmp_path / "bad.jsonl"
+        record = {"doc_id": "d", "text": "Home Depot \ud800 CEO", "mentions": [{"id": "m1", "start": 0, "end": 10}]}
+        bad.write_text(json.dumps(record) + "\n", encoding="ascii")
+        code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(tmp_path / "toy.idx"),
+                    "--in", str(bad), "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        assert any("surrogates not allowed" in r.getMessage() for r in caplog.records)
+
 
 class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):

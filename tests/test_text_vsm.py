@@ -1,12 +1,15 @@
 """Tokenizer and term-vector tests, including hand-computed cosine values."""
 
+import functools
 import math
+import unicodedata
 
 import pytest
-from hypothesis import given
+from conftest import _is_cjk, _is_word_char, oracle_tokenize
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlink.text_vsm import context_window, cosine, term_freq, tokenize, top_terms
+from entlink.text_vsm import _CJK_RANGES, _MARK_RANGES, context_window, cosine, term_freq, tokenize, top_terms
 
 
 def terms(tokens):
@@ -43,6 +46,125 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Mixed 李娜 CASE text-with punct."
         assert tokenize(text) == tokenize(text)
+
+
+class TestTokenizeOffsets:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("한국어 위키백과", id="hangul"),
+            pytest.param("ひらがなとカタカナ・テスト", id="kana"),
+            pytest.param("\U00020000\U0002a6d6 astral", id="astral-cjk"),
+            pytest.param("cafe\u0301 nai\u0308ve \u0915\u093f\u0928\u094d", id="combining-marks"),
+            pytest.param("\U0001d400\U0001d401 \U0001f600 x\U000e0100y", id="astral-letters-and-marks"),
+        ],
+    )
+    def test_offsets_slice_the_utf8_source(self, text):
+        encoded = text.encode("utf-8")
+        tokens = tokenize(text)
+        assert tokens == oracle_tokenize(text)
+        assert tokens
+        for token in tokens:
+            assert encoded[token.start:token.end].decode("utf-8").casefold() == token.text
+
+    def test_cjk_marks_and_punctuation_are_tokens_of_their_own(self):
+        # U+3099 (a combining mark) and U+30FB (punctuation) lie in the Kana block.
+        assert [t.text for t in tokenize("a\u3099b\u30fbc")] == ["a", "\u3099", "b", "\u30fb", "c"]
+
+    def test_mark_joins_the_word_it_follows(self):
+        assert [t.text for t in tokenize("x\u0301y_z \u0301q")] == ["x\u0301y", "z", "\u0301q"]
+
+    @pytest.mark.parametrize("text", ["\ud800", "abc \udfff", "李娜\udc00", "x\u0301\ud83d"])
+    def test_lone_surrogate_raises(self, text):
+        with pytest.raises(UnicodeEncodeError):
+            oracle_tokenize(text)
+        with pytest.raises(UnicodeEncodeError):
+            tokenize(text)
+
+
+# -- the compiled pattern against the per-character oracle --------------------------
+
+_SURROGATES = range(0xD800, 0xE000)
+_RANGE_EDGES = [cp for lo, hi in _CJK_RANGES + _MARK_RANGES for cp in (lo - 1, lo, hi, hi + 1)]
+_CONTEXTS = {
+    "between-latin-letters": ("a", "b"),
+    "after-cjk-ideograph": ("\u4e2d", ""),
+    "between-underscores": ("_", "_"),
+    "before-u0301": ("", "\u0301"),
+    "after-x-u3099": ("x\u3099", ""),
+}
+
+
+def _outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except Exception as exc:  # compared by type with the oracle's
+        return type(exc)
+
+
+def _differs(text):
+    return _outcome(tokenize, text) != _outcome(oracle_tokenize, text)
+
+
+def _report(code_points):
+    return (
+        f"tokenize differs from the oracle at {len(code_points)} code points "
+        f"{[f'U+{cp:04X}' for cp in code_points[:50]]}; if unicodedata.unidata_version "
+        f"({unicodedata.unidata_version}) is newer than the table's, regenerate "
+        "text_vsm._MARK_RANGES as the ranges of category M outside the CJK blocks"
+    )
+
+
+def test_every_code_point_tokenizes_like_the_oracle():
+    """Every code point but the surrogates, twice between underscores, which
+    tells the classes apart: a separator gives no token, a CJK character two,
+    and a letter, digit or mark one token of both characters; the offsets give
+    its UTF-8 width. A block that differs is searched code point by code
+    point."""
+    bad = []
+    for lo in range(0, 0x110000, 0x1000):
+        block = [cp for cp in range(lo, lo + 0x1000) if cp not in _SURROGATES]
+        text = "_" + "_".join(chr(cp) * 2 for cp in block) + "_"
+        if tokenize(text) != oracle_tokenize(text):
+            bad += [cp for cp in block if _differs(f"_{chr(cp) * 2}_")]
+    assert not bad, _report(bad)
+
+
+@functools.cache
+def _class_edges():
+    """The first and last code point of every run of code points that the
+    oracle classifies alike (CJK, word character or separator, and UTF-8
+    width), the code points either side of each table range, and every
+    surrogate."""
+    def key(cp):
+        ch = chr(cp)
+        return _is_cjk(ch), _is_word_char(ch), len(ch.encode("utf-8", "surrogatepass"))
+
+    edges = set(_SURROGATES) | set(_RANGE_EDGES)
+    prev = None
+    for cp in range(0x110000):
+        k = key(cp)
+        if k != prev:
+            edges.update((cp - 1, cp))
+            prev = k
+    return sorted(cp for cp in edges if 0 <= cp < 0x110000)
+
+
+@pytest.mark.parametrize("before,after", _CONTEXTS.values(), ids=_CONTEXTS.keys())
+def test_class_edges_tokenize_like_the_oracle_in_context(before, after):
+    bad = [cp for cp in _class_edges() if _differs(before + chr(cp) + after)]
+    assert not bad, _report(bad)
+
+
+_EDGE_CHARS = [chr(cp) for cp in _RANGE_EDGES] + list("_\u3099\u309a\u30fb\u0301")
+
+
+@settings(max_examples=300)
+@given(st.text(st.characters() | st.sampled_from(_EDGE_CHARS)))
+def test_tokenize_matches_oracle_on_any_text(text):
+    """Text drawn from every general category but the surrogates, astral
+    planes included, with CJK and mark range edges mixed in."""
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 class TestVectors:
