@@ -335,106 +335,95 @@ class FeatureExtractor:
     def mention_entity_features(
         self, mention: Mention, candidate: Candidate, view: DocumentView
     ) -> np.ndarray:
-        """Partial feature vector for one mention/candidate pair.
+        """Partial feature vector for one mention/candidate pair, cached per
+        document view and read-only.
 
         NIL candidates set only the NIL indicator; candidates without a KB
         entry keep every KB-derived feature at zero.
         """
-        return self._mention_entity(mention, candidate, view).copy()
-
-    def _mention_entity(
-        self, mention: Mention, candidate: Candidate, view: DocumentView
-    ) -> np.ndarray:
         cache_key = (mention.id, candidate.entity_id)
-        cached = view._partials.get(cache_key)
-        if cached is not None:
-            return cached
+        vec = view._partials.get(cache_key)
+        if vec is not None:
+            return vec
 
         idx = self._idx
         vec = np.zeros(len(self.registry))
         eid = candidate.entity_id
         if eid == NIL:
             vec[idx["nil_frequency"]] = 1.0
-            view._partials[cache_key] = vec
-            return vec
+        else:
+            vec[idx["link_prior"]] = candidate.link_prior
+        if eid in self.index.entries:  # never NIL: build_index rejects that id
+            terms = view.mention(mention)
+            data = self._data(eid)
+            ctx_e = self._page_context(data, mention.surface)
+            vec[idx["cos_text_text"]] = cosine(data.text_vec, terms.text_vec)
+            vec[idx["cos_text_ctx"]] = cosine(data.text_vec, terms.ctx_vec)
+            vec[idx["cos_ctx_text"]] = cosine(ctx_e, terms.text_vec)
+            vec[idx["cos_ctx_ctx"]] = cosine(ctx_e, terms.ctx_vec)
+            vec[idx["cos_top_text"]] = cosine(data.top_vec, terms.text_vec)
+            vec[idx["cos_top_ctx"]] = cosine(data.top_vec, terms.ctx_vec)
 
-        vec[idx["link_prior"]] = candidate.link_prior
-        if eid not in self.index.entries:
-            view._partials[cache_key] = vec
-            return vec
+            sides = {"text": terms.text_seq, "ctx": terms.ctx_seq}
+            for relation in LINK_RELATIONS:
+                sequences = data.name_sequences[relation]
+                for side, tokens in sides.items():
+                    total = sum(count_contiguous(seq, tokens) for seq in sequences)
+                    vec[idx[f"{relation}_freq_{side}"]] = float(total)
 
-        terms = view.mention(mention)
-        data = self._data(eid)
-        ctx_e = self._page_context(data, mention.surface)
-        vec[idx["cos_text_text"]] = cosine(data.text_vec, terms.text_vec)
-        vec[idx["cos_text_ctx"]] = cosine(data.text_vec, terms.ctx_vec)
-        vec[idx["cos_ctx_text"]] = cosine(ctx_e, terms.text_vec)
-        vec[idx["cos_ctx_ctx"]] = cosine(ctx_e, terms.ctx_vec)
-        vec[idx["cos_top_text"]] = cosine(data.top_vec, terms.text_vec)
-        vec[idx["cos_top_ctx"]] = cosine(data.top_vec, terms.ctx_vec)
+            surface_key = normalize_name(mention.surface)
+            vec[idx["match_all_title"]] = 1.0 if surface_key == data.norm_title else 0.0
+            vec[idx["exact_match_redirect"]] = 1.0 if surface_key in data.norm_redirects else 0.0
+            is_acronym = (
+                mention.surface.isupper()
+                and len(surface_key) >= 2
+                and surface_key in data.acronyms
+            )
+            vec[idx["match_acronym"]] = 1.0 if is_acronym else 0.0
 
-        sides = {"text": terms.text_seq, "ctx": terms.ctx_seq}
-        for relation in LINK_RELATIONS:
-            sequences = data.name_sequences[relation]
-            for side, tokens in sides.items():
-                total = sum(count_contiguous(seq, tokens) for seq in sequences)
-                vec[idx[f"{relation}_freq_{side}"]] = float(total)
-
-        surface_key = normalize_name(mention.surface)
-        vec[idx["match_all_title"]] = 1.0 if surface_key == data.norm_title else 0.0
-        vec[idx["exact_match_redirect"]] = 1.0 if surface_key in data.norm_redirects else 0.0
-        is_acronym = (
-            mention.surface.isupper()
-            and len(surface_key) >= 2
-            and surface_key in data.acronyms
-        )
-        vec[idx["match_acronym"]] = 1.0 if is_acronym else 0.0
-
+        vec.flags.writeable = False
         view._partials[cache_key] = vec
         return vec
 
     def entity_entity_features(self, first: str, second: str) -> np.ndarray:
-        """Partial feature vector for a consecutive candidate pair."""
-        return self._pair(first, second).copy()
-
-    def _pair(self, first: str, second: str) -> np.ndarray:
+        """Partial feature vector for a consecutive candidate pair, cached
+        and read-only."""
         key = (first, second)
-        cached = self._pair_vectors.get(key)
-        if cached is not None:
-            return cached
+        vec = self._pair_vectors.get(key)
+        if vec is not None:
+            return vec
 
         idx = self._idx
         vec = np.zeros(len(self.registry))
         entries = self.index.entries
-        if first == NIL or second == NIL or first not in entries or second not in entries:
-            self._pair_vectors[key] = vec
-            return vec
+        if first in entries and second in entries:  # never NIL: build_index rejects that id
+            out1 = self.index.outlink_counts.get(first, {})
+            out2 = self.index.outlink_counts.get(second, {})
+            vec[idx["outlink_overlap"]] = jaccard(out1, out2)
+            vec[idx["inlink_overlap"]] = jaccard(
+                self.index.inlinks.get(first, frozenset()),
+                self.index.inlinks.get(second, frozenset()),
+            )
 
-        out1 = self.index.outlink_counts.get(first, {})
-        out2 = self.index.outlink_counts.get(second, {})
-        vec[idx["outlink_overlap"]] = jaccard(out1, out2)
-        vec[idx["inlink_overlap"]] = jaccard(
-            self.index.inlinks.get(first, frozenset()),
-            self.index.inlinks.get(second, frozenset()),
-        )
+            data1, data2 = self._data(first), self._data(second)
+            cats1, cats2 = entries[first].categories, entries[second].categories
+            vec[idx["category_pmi"]] = float(
+                sum(self.pmi.score(a, b) for a in cats1 for b in cats2)
+            )
 
-        data1, data2 = self._data(first), self._data(second)
-        cats1, cats2 = entries[first].categories, entries[second].categories
-        vec[idx["category_pmi"]] = float(
-            sum(self.pmi.score(a, b) for a in cats1 for b in cats2)
-        )
+            relations = 0
+            for token_sets, title_tokens in (
+                (data1.category_token_sets, data2.title_tokens),
+                (data2.category_token_sets, data1.title_tokens),
+            ):
+                for cat_tokens in token_sets.values():
+                    if jaccard(cat_tokens, title_tokens) >= 0.5:
+                        relations += 1
+            vec[idx["categorical_relation_freq"]] = float(relations)
 
-        relations = 0
-        for token_sets, title_tokens in (
-            (data1.category_token_sets, data2.title_tokens),
-            (data2.category_token_sets, data1.title_tokens),
-        ):
-            for cat_tokens in token_sets.values():
-                if jaccard(cat_tokens, title_tokens) >= 0.5:
-                    relations += 1
-        vec[idx["categorical_relation_freq"]] = float(relations)
+            vec[idx["title_cooccurrence"]] = float(out1.get(second, 0) + out2.get(first, 0))
 
-        vec[idx["title_cooccurrence"]] = float(out1.get(second, 0) + out2.get(first, 0))
+        vec.flags.writeable = False
         self._pair_vectors[key] = vec
         return vec
 
@@ -453,13 +442,13 @@ class FeatureExtractor:
                 f"for {len(mentions)} mentions"
             )
         rows = np.stack(
-            [self._mention_entity(m, c, view) for m, lst in zip(mentions, lists) for c in lst]
+            [self.mention_entity_features(m, c, view) for m, lst in zip(mentions, lists) for c in lst]
         )
         bool_idx = self.registry.boolean_indices
         bits = (rows[:, bool_idx] != 0.0) @ (1 << np.arange(bool_idx.size))
         rows[:, bool_idx] = 0.0
         pairs = tuple(
-            np.stack([np.stack([self._pair(a.entity_id, b.entity_id) for b in right]) for a in left])
+            np.stack([np.stack([self.entity_entity_features(a.entity_id, b.entity_id) for b in right]) for a in left])
             for left, right in zip(lists, lists[1:])
         )
         return ComponentChain(

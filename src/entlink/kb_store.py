@@ -216,10 +216,6 @@ class AnchorIndex:
                 return count / total
         return 0.0
 
-    def resolve_redirect(self, name: str) -> str | None:
-        """Entity id whose title or redirect matches `name`, else None."""
-        return self.redirect_map.get(normalize_name(name))
-
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:

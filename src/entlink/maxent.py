@@ -104,15 +104,6 @@ class TrainingInstance:
         return self.states.chain.features
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Probabilities over assignment scores, stabilized by max subtraction."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("cannot normalize an empty score set")
-    shifted = np.exp(scores - scores.max())
-    return shifted / shifted.sum()
-
-
 def _logsumexp(a: np.ndarray, axis: int | None = None):
     top = a.max(axis=axis, keepdims=True)
     out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
@@ -247,9 +238,8 @@ def fit_weights(
     *,
     tol: float = 1e-6,
     max_iter: int = 500,
-    history: int = 10,
 ) -> tuple[np.ndarray, list[float], bool]:
-    """Maximize the objective with L-BFGS from a zero start.
+    """Maximize the objective with L-BFGS (memory 10) from a zero start.
 
     Returns (weights, per-iterate objective trace, converged). The objective
     is concave, so any stationary point is the global optimum; accepted steps
@@ -286,7 +276,7 @@ def fit_weights(
         jac=True,
         method="L-BFGS-B",
         callback=record,
-        options={"maxcor": history, "maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
+        options={"maxcor": 10, "maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
     )
     weights = np.asarray(result.x, dtype=float)
     _, grad = evaluate(weights)
@@ -361,7 +351,6 @@ def train(
     blacklist_threshold: float = 0.05,
     tol: float = 1e-6,
     max_iter: int = 500,
-    history: int = 10,
 ) -> TrainResult:
     """End-to-end training: PMI table from gold sequences, then weights.
 
@@ -386,9 +375,7 @@ def train(
         top_n=config.top_n,
     )
     instances, stats = build_training_instances(docs, index, extractor, config)
-    weights, trace, converged = fit_weights(
-        instances, config.sigma, len(registry), tol=tol, max_iter=max_iter, history=history
-    )
+    weights, trace, converged = fit_weights(instances, config.sigma, len(registry), tol=tol, max_iter=max_iter)
     model = Model(weights=weights, registry=registry, pmi=pmi, config=config)
     return TrainResult(model=model, objective_trace=trace, converged=converged, stats=stats)
 
@@ -407,7 +394,6 @@ def decode(
     doc: MentionDocument,
     index: AnchorIndex,
     *,
-    stopwords: frozenset[str] | set[str] = frozenset(),
     extractor: FeatureExtractor | None = None,
 ) -> list[Prediction]:
     """Label every mention of a document with its best candidate (or NIL).
@@ -416,14 +402,14 @@ def decode(
     highest-scoring joint assignment over up to `max_candidates` candidates
     per mention wins, with exact ties going to the smallest id sequence. The
     reported score is that assignment's probability within its component
-    (the same for all its mentions), not a per-mention confidence.
+    (the same for all its mentions), not a per-mention confidence. Without
+    an `extractor`, decode builds one without stop words.
     """
     if extractor is None:
         extractor = FeatureExtractor(
             index,
             model.pmi,
             model.registry,
-            stopwords=stopwords,
             window=model.config.context_window,
             top_n=model.config.top_n,
         )

@@ -140,9 +140,8 @@ def connected_components(doc: MentionDocument, gap: int = 4) -> list[ConnectedCo
 def candidate_lists(
     component: ConnectedComponent, index: AnchorIndex, k: int
 ) -> list[list[Candidate]]:
-    """Per-mention lists of the top-k KB candidates, each with NIL appended."""
-    if k < 1:
-        raise ValueError("candidate cap k must be >= 1")
+    """Per-mention lists of the top-k KB candidates, each with NIL appended;
+    `fast_search` rejects k < 1."""
     return [index.fast_search(m.surface, k) for m in component.mentions]
 
 

@@ -2,11 +2,14 @@
 
 Each check recomputes its expected answer with an independent method (hand
 values, finite differences, brute-force closure) rather than trusting the
-code path it exercises.
+code path it exercises. The brute-force oracles (finite-difference gradient,
+joint-assignment enumeration and scoring, component closure) are public: the
+test suite imports these same ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -15,7 +18,7 @@ from . import fixtures
 from .config import PipelineConfig
 from .features import FeatureExtractor, default_registry, train_pmi
 from .kb_store import build_index
-from .maxent import Model, build_training_instances, cll_objective, decode, softmax
+from .maxent import Model, build_training_instances, cll_objective, decode
 from .segmenter import candidate_lists, connected_components
 from .text_vsm import cosine, tokenize
 
@@ -28,13 +31,58 @@ def _check_cosine() -> None:
     assert abs(cosine({"x": 1.0, "y": 1.0}, {"x": 1.0}) - expected) < 1e-12
 
 
-def _check_softmax(seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        scores = rng.normal(scale=50.0, size=rng.integers(1, 20))
-        probs = softmax(scores)
-        assert abs(float(probs.sum()) - 1.0) <= 1e-9
-        assert np.all(probs >= 0.0)
+# -- brute-force oracles, shared with the test suite ---------------------------------
+
+
+def fd_gradient(weights: np.ndarray, instances, sigma: float, h: float = 1e-5) -> np.ndarray:
+    """Gradient of `cll_objective` by central finite differences of its value."""
+    grad = np.zeros_like(weights)
+    for j in range(len(weights)):
+        step = np.zeros_like(weights)
+        step[j] = h
+        up, _ = cll_objective(weights + step, instances, sigma)
+        down, _ = cll_objective(weights - step, instances, sigma)
+        grad[j] = (up - down) / (2 * h)
+    return grad
+
+
+def enumerate_tuples(component, index, k: int) -> list[tuple]:
+    """Every joint assignment (a tuple of Candidates) over the per-mention
+    candidate lists, in lexicographic order of list positions."""
+    return list(itertools.product(*candidate_lists(component, index, k)))
+
+
+def oracle_features(extractor, component, assignments, view) -> np.ndarray:
+    """Aggregate feature vector of each joint assignment, from the public
+    partial-feature functions alone: mention partials summed, boolean
+    features ANDed (the minimum over mentions), consecutive-pair partials
+    summed. Returns an (n_assignments, n_features) array."""
+    mentions = component.mentions
+    bool_idx = extractor.registry.boolean_indices
+    out = np.zeros((len(assignments), len(extractor.registry)))
+    for row, assignment in zip(out, assignments):
+        if len(assignment) != len(mentions):
+            raise ValueError(f"assignment arity {len(assignment)} != component size {len(mentions)}")
+        parts = [extractor.mention_entity_features(m, c, view) for m, c in zip(mentions, assignment)]
+        for part in parts:
+            row += part
+        row[bool_idx] = np.min([p[bool_idx] for p in parts], axis=0)
+        for left, right in zip(assignment, assignment[1:]):
+            row += extractor.entity_entity_features(left.entity_id, right.entity_id)
+    return out
+
+
+def oracle_argmax(assignments, scores) -> tuple[str, ...]:
+    """The best-scoring assignment; exact ties go to the smallest id sequence."""
+    top = max(scores)
+    return min(
+        tuple(c.entity_id for c in a) for a, s in zip(assignments, scores) if s == top
+    )
+
+
+def oracle_log_z(scores) -> float:
+    top = max(scores)
+    return top + float(np.log(np.sum(np.exp(np.asarray(scores) - top))))
 
 
 def _fixture_documents():
@@ -56,20 +104,14 @@ def _check_gradient(seed: int) -> None:
     index = fixtures.toy_index()
     extractor = FeatureExtractor(index)
     instances, _ = build_training_instances(_fixture_documents(), index, extractor, PipelineConfig())
-    d = len(extractor.registry)
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        w = rng.normal(size=d)
+        w = rng.normal(size=len(extractor.registry))
         _, grad = cll_objective(w, instances, 0.5)
-        h = 1e-5
-        for j in range(d):
-            step = np.zeros(d)
-            step[j] = h
-            up, _ = cll_objective(w + step, instances, 0.5)
-            down, _ = cll_objective(w - step, instances, 0.5)
-            fd = (up - down) / (2 * h)
-            rel = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-8)
-            assert rel < 1e-5, f"gradient mismatch at {j}: {grad[j]} vs {fd}"
+        fd = fd_gradient(w, instances, 0.5)
+        rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
+        j = int(np.argmax(rel))
+        assert rel[j] < 1e-5, f"gradient mismatch at {j}: {grad[j]} vs {fd[j]}"
 
 
 def _check_decode_brute_force(seed: int) -> None:
@@ -86,22 +128,16 @@ def _check_decode_brute_force(seed: int) -> None:
             got = {p.mention_id: (p.entity_id, p.score) for p in decode(model, doc, index, extractor=extractor)}
             view = extractor.document_view(doc)
             for comp in connected_components(doc, config.gap):
-                lists = candidate_lists(comp, index, config.max_candidates)
-                chain = extractor.component_chain(comp, lists, view)
-                scored = sorted(
-                    (-float(chain.assignment_features(choice) @ weights),
-                     tuple(lst[c].entity_id for lst, c in zip(lists, choice)))
-                    for choice in np.ndindex(*chain.sizes)
-                )
-                scores = -np.array([s for s, _ in scored])
-                best, best_ids = scores[0], scored[0][1]
+                assignments = enumerate_tuples(comp, index, config.max_candidates)
+                scores = oracle_features(extractor, comp, assignments, view) @ weights
+                best, best_ids = float(scores.max()), oracle_argmax(assignments, scores)
                 ids = tuple(got[m.id][0] for m in comp.mentions)
-                mine = scores[[i for _, i in scored].index(ids)]
+                mine = scores[[tuple(c.entity_id for c in a) for a in assignments].index(ids)]
                 # an exact tie must go to the smallest ids; a near tie (equal
                 # up to summation order) may go either way
                 near_tie = mine != best and best - mine <= 1e-9 * max(1.0, abs(best))
                 assert ids == best_ids or near_tie, f"{comp.id}: decode chose {ids}, brute force {best_ids}"
-                prob = float(softmax(scores)[0])
+                prob = float(np.exp(best - oracle_log_z(scores)))
                 assert all(abs(got[m.id][1] - prob) <= 1e-9 for m in comp.mentions), (
                     f"{comp.id}: score {got[comp.mentions[0].id][1]} != joint probability {prob}"
                 )
@@ -177,7 +213,6 @@ def run_selfcheck(seed: int = 0) -> int:
     """Run all checks; print one line per check; return the failure count."""
     checks = [
         ("cosine", _check_cosine),
-        ("softmax-normalization", lambda: _check_softmax(seed)),
         ("gradient-finite-difference", lambda: _check_gradient(seed)),
         ("decode-vs-brute-force", lambda: _check_decode_brute_force(seed)),
         ("connected-components-oracle", lambda: _check_components(seed)),

@@ -1,6 +1,7 @@
-"""Shared fixture generators and oracles for randomized tests."""
+"""Shared fixture generators and oracles for randomized tests. The
+brute-force oracles of the program live in `entlink.selfcheck` and are
+re-exported here."""
 
-import itertools
 import random
 import unicodedata
 
@@ -11,8 +12,14 @@ from entlink.features import ComponentChain, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans
 from entlink.kb_store import KbEntry, build_index
 from entlink.maxent import ChainStates, Model, TrainingInstance
-from entlink.segmenter import candidate_lists
-from entlink.selfcheck import closure_oracle  # noqa: F401  (re-exported to the tests)
+from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
+    closure_oracle,
+    enumerate_tuples,
+    fd_gradient,
+    oracle_argmax,
+    oracle_features,
+    oracle_log_z,
+)
 from entlink.text_vsm import _CJK_RANGES, Token
 
 # -- per-character reference tokenizer ------------------------------------------------
@@ -123,56 +130,6 @@ def random_model(rng: random.Random, scale: float = 1.0) -> Model:
         pmi=PmiTable(),
         config=PipelineConfig(max_candidates=5),
     )
-
-
-# -- brute-force oracle for chain inference -------------------------------------------
-
-
-def enumerate_tuples(component, index, k):
-    """Every joint assignment (a tuple of Candidates) over the per-mention
-    candidate lists, in lexicographic order of list positions."""
-    return list(itertools.product(*candidate_lists(component, index, k)))
-
-
-def oracle_features(extractor, component, assignments, view):
-    """Aggregate feature vector of each joint assignment, from the public
-    partial-feature functions alone: mention partials summed, boolean
-    features ANDed (the minimum over mentions), consecutive-pair partials
-    summed. Returns an (n_assignments, n_features) array."""
-    mentions = component.mentions
-    bool_idx = extractor.registry.boolean_indices
-    unary, pair = {}, {}
-    out = np.zeros((len(assignments), len(extractor.registry)))
-    for row, assignment in zip(out, assignments):
-        if len(assignment) != len(mentions):
-            raise ValueError(f"assignment arity {len(assignment)} != component size {len(mentions)}")
-        parts = []
-        for m, c in zip(mentions, assignment):
-            if (m.id, c) not in unary:
-                unary[m.id, c] = extractor.mention_entity_features(m, c, view)
-            parts.append(unary[m.id, c])
-        for part in parts:
-            row += part
-        row[bool_idx] = np.min([p[bool_idx] for p in parts], axis=0)
-        for left, right in zip(assignment, assignment[1:]):
-            key = (left.entity_id, right.entity_id)
-            if key not in pair:
-                pair[key] = extractor.entity_entity_features(*key)
-            row += pair[key]
-    return out
-
-
-def oracle_argmax(assignments, scores):
-    """The best-scoring assignment; exact ties go to the smallest id sequence."""
-    top = max(scores)
-    return min(
-        tuple(c.entity_id for c in a) for a, s in zip(assignments, scores) if s == top
-    )
-
-
-def oracle_log_z(scores):
-    top = max(scores)
-    return top + float(np.log(np.sum(np.exp(np.asarray(scores) - top))))
 
 
 # -- random components and chains ---------------------------------------------------

@@ -377,11 +377,51 @@ class TestMalformedRecords:
         assert any("surrogates not allowed" in r.getMessage() for r in caplog.records)
 
 
+SELFCHECKS = [
+    "cosine",
+    "gradient-finite-difference",
+    "decode-vs-brute-force",
+    "connected-components-oracle",
+    "index-determinism",
+    "end-to-end-toy-decode",
+]
+
+
 class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
-        assert run(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out
+        for seed in (0, 1, 2):
+            assert run(["selfcheck", "--seed", str(seed)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines == [f"selfcheck {name}: ok" for name in SELFCHECKS]
+
+    def test_selfcheck_catches_a_wrong_decode(self, monkeypatch, capsys):
+        from entlink.maxent import ChainStates
+        from entlink.selfcheck import run_selfcheck
+
+        decode = ChainStates.decode
+
+        def wrong_choice(self, weights, ids):
+            # move the first mention off its decoded candidate
+            choice, probability = decode(self, weights, ids)
+            choice[0] = (choice[0] + 1) % self.chain.sizes[0]
+            return choice, probability
+
+        monkeypatch.setattr(ChainStates, "decode", wrong_choice)
+        assert run_selfcheck(0) >= 1
+        assert "selfcheck decode-vs-brute-force: FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_catches_a_scaled_gradient(self, monkeypatch, capsys):
+        import entlink.selfcheck
+
+        objective = entlink.selfcheck.cll_objective
+
+        def scaled(*args):
+            value, grad = objective(*args)
+            return value, 1.01 * grad
+
+        monkeypatch.setattr(entlink.selfcheck, "cll_objective", scaled)
+        assert entlink.selfcheck.run_selfcheck(0) >= 1
+        assert "selfcheck gradient-finite-difference: FAILED" in capsys.readouterr().out
 
 
 class TestDeterminism:

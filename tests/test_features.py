@@ -255,6 +255,25 @@ class TestEntityEntityFeatures:
         assert feature(extractor, vec, "category_pmi") == pytest.approx(0.25)
 
 
+def test_cached_partial_vectors_are_read_only():
+    extractor = FeatureExtractor(toy_index())
+    doc = home_depot_document()
+    view = extractor.document_view(doc)
+    calls = [
+        lambda: extractor.mention_entity_features(doc.mentions[0], Candidate("HOME_DEPOT", 1.0), view),
+        lambda: extractor.entity_entity_features("HOME_DEPOT", "ROBERT_NARDELLI"),
+    ]
+    for call in calls:
+        vec = call()
+        original = vec.copy()
+        assert np.any(original != 0.0)
+        with pytest.raises(ValueError):
+            vec[:] = 7.0
+        with pytest.raises(ValueError):
+            vec += 1.0
+        assert np.array_equal(call(), original)
+
+
 def assignment_vector(extractor, component, view, assignment):
     """Aggregate features of one assignment, through the component's chain."""
     chain = extractor.component_chain(component, [[c] for c in assignment], view)

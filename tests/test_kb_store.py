@@ -69,7 +69,6 @@ class TestBuildIndex:
         )
         index = build_index([entry])
         assert index.redirect_map[normalize_name("Barack Obama Jr.")] == "OBAMA"
-        assert index.resolve_redirect("Barack Obama Jr.") == "OBAMA"
 
     def test_duplicate_id_is_hard_error(self):
         entry = KbEntry(id="X", title="X", text="")
@@ -191,17 +190,19 @@ class TestFastSearch:
 
 
 class TestResolveRedirect:
+    """Titles and redirects resolve through `redirect_map` by normalized name."""
+
     def test_redirect_hit(self):
         index = toy_index()
-        assert index.resolve_redirect("Bob Nardelli") == "ROBERT_NARDELLI"
+        assert index.redirect_map[normalize_name("Bob Nardelli")] == "ROBERT_NARDELLI"
 
     def test_title_identity(self):
         index = toy_index()
-        assert index.resolve_redirect("Chrysler") == "CHRYSLER"
+        assert index.redirect_map[normalize_name("Chrysler")] == "CHRYSLER"
 
     def test_unknown(self):
         index = toy_index()
-        assert index.resolve_redirect("No Such Page") is None
+        assert index.redirect_map.get(normalize_name("No Such Page")) is None
 
 
 class TestSerialization:

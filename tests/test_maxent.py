@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     enumerate_tuples,
+    fd_gradient,
     oracle_argmax,
     oracle_features,
     random_chain_instance,
@@ -33,22 +34,9 @@ from entlink.maxent import (
     decode,
     fit_weights,
     nil_cluster,
-    softmax,
     train,
 )
 from entlink.segmenter import connected_components
-
-
-def fd_gradient(weights, instances, sigma, h=1e-5):
-    """Central finite differences of the objective value."""
-    grad = np.zeros_like(weights)
-    for j in range(len(weights)):
-        step = np.zeros_like(weights)
-        step[j] = h
-        up, _ = cll_objective(weights + step, instances, sigma)
-        down, _ = cll_objective(weights - step, instances, sigma)
-        grad[j] = (up - down) / (2 * h)
-    return grad
 
 
 def single_mention_chain(features):
@@ -64,27 +52,8 @@ def single_mention_chain(features):
 
 
 class TestSoftmax:
-    def test_equal_scores_split_evenly(self):
-        assert np.allclose(softmax(np.zeros(2)), [0.5, 0.5])
-
-    def test_zero_weights_uniform(self):
-        probs = softmax(np.zeros(7))
-        assert np.allclose(probs, 1 / 7)
-
-    def test_hand_computed_pair(self):
-        probs = softmax(np.array([1.0, 0.0]))
-        e = math.e
-        assert probs[0] == pytest.approx(e / (e + 1), abs=1e-12)
-        assert probs[1] == pytest.approx(1 / (e + 1), abs=1e-12)
-
-    def test_large_scores_stay_finite(self):
-        probs = softmax(np.array([1e4, 0.0, -1e4]))
-        assert np.all(np.isfinite(probs))
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_is_hard_error(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([]))
+    """The component probability decode reports: the softmax of the best
+    assignment's score over all assignments."""
 
     def test_tuple_probability(self):
         states = ChainStates(single_mention_chain([[1.0, 0.0], [0.0, 0.0]]))
