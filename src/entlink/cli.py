@@ -13,9 +13,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .config import PipelineConfig
-from .evaluator import EvalError, b3plus_f1, bot_f1, is_nil_label
+from .evaluator import EvalError, b3plus_f1, bot_f1
 from .features import FeatureExtractor
-from .kb_store import NIL, AnchorIndex, FormatVersionError, KbError, build_index, load_kb_jsonl
+from .kb_store import NIL, AnchorIndex, FormatVersionError, KbError, build_index, is_nil_label, load_kb_jsonl
 from .maxent import (
     Model,
     TrainingError,
@@ -26,7 +26,6 @@ from .maxent import (
     write_predictions,
 )
 from .segmenter import DocumentError, load_documents
-from .text_vsm import load_stopwords
 
 log = logging.getLogger("entlink")
 
@@ -47,12 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--kb-index", required=True, help="index built by build-index")
     p_train.add_argument("--train", required=True, dest="train_docs", help="labeled documents (JSONL)")
     p_train.add_argument("--out", required=True, help="output model file")
-    p_train.add_argument("--sigma", type=float, default=0.5)
-    p_train.add_argument("--max-candidates", type=int, default=40)
-    p_train.add_argument("--gap", type=int, default=4)
-    p_train.add_argument("--window", type=int, default=100)
-    p_train.add_argument("--top-n", type=int, default=200)
-    p_train.add_argument("--stopwords", default=None, help="optional one-token-per-line file")
+    p_train.add_argument("--sigma", type=float, default=PipelineConfig.sigma)
+    p_train.add_argument("--max-candidates", type=int, default=PipelineConfig.max_candidates)
+    p_train.add_argument("--gap", type=int, default=PipelineConfig.gap)
+    p_train.add_argument("--window", type=int, default=PipelineConfig.context_window)
+    p_train.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
     p_train.add_argument("--blacklist-threshold", type=float, default=0.05)
     p_train.add_argument("--tol", type=float, default=1e-6)
     p_train.add_argument("--max-iter", type=int, default=500)
@@ -63,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--index", required=True)
     p_link.add_argument("--in", required=True, dest="input", help="documents to label (JSONL)")
     p_link.add_argument("--out", required=True, help="output predictions (JSONL)")
-    p_link.add_argument("--stopwords", default=None)
     p_link.add_argument("--jobs", type=int, default=1, help="documents decoded in parallel")
     p_link.set_defaults(func=cmd_link)
 
@@ -114,12 +111,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     log.info("config: %s", config.to_dict())
     index = AnchorIndex.load(args.kb_index)
     docs = load_documents(args.train_docs)
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     result = train(
         docs,
         index,
         config,
-        stopwords=stopwords,
         blacklist_threshold=args.blacklist_threshold,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -148,12 +143,10 @@ def cmd_link(args: argparse.Namespace) -> int:
     log.info("config: %s jobs=%d", model.config.to_dict(), args.jobs)
     index = AnchorIndex.load(args.index)
     docs = load_documents(args.input)
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     extractor = FeatureExtractor(
         index,
         model.pmi,
         model.registry,
-        stopwords=stopwords,
         window=model.config.context_window,
         top_n=model.config.top_n,
     )

@@ -3,20 +3,14 @@ that scores NIL clustering together with KB links."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
-_NIL_PATTERN = re.compile(r"NIL\d*")
+from .kb_store import NIL, is_nil_label
 
 
 class EvalError(ValueError):
     """Prediction/gold misalignment or malformed inputs."""
-
-
-def is_nil_label(label: str) -> bool:
-    """True for the bare NIL label and for cluster-qualified ones (NIL0042)."""
-    return bool(_NIL_PATTERN.fullmatch(label))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -120,7 +114,7 @@ def bot_f1(
 def _class_key(query: Hashable, label: str) -> tuple:
     if not is_nil_label(label):
         return ("kb", label)
-    if label == "NIL":
+    if label == NIL:
         # bare NIL carries no cluster information: treat as a singleton
         return ("nil", query)
     return ("nil", label)

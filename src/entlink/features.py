@@ -1,12 +1,12 @@
 """Language-independent feature functions over joint candidate assignments.
 
 Every feature measures overlap between document text and KB-entry text or
-structure; none consults a hard-coded word list (the optional stop-word set is
-the only lexical resource). Real-valued features are summed over the mentions
-(or consecutive candidate pairs) of an assignment; boolean features combine
-with AND. A component's features therefore form a linear chain
-(`ComponentChain`): unary rows per mention, pair blocks per consecutive pair
-of mentions, and one bitmask of true booleans per candidate.
+structure; none reads a word list or any other lexical resource, so a model
+trained on one language links another unchanged. Real-valued features are
+summed over the mentions (or consecutive candidate pairs) of an assignment;
+boolean features combine with AND. A component's features therefore form a
+linear chain (`ComponentChain`): unary rows per mention, pair blocks per
+consecutive pair of mentions, and one bitmask of true booleans per candidate.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .kb_store import NIL, AnchorIndex, Candidate, normalize_name
 from .segmenter import ConnectedComponent, Mention, MentionDocument
 from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize, top_terms
@@ -86,30 +87,20 @@ def default_registry() -> FeatureRegistry:
 @dataclass
 class PmiTable:
     """Pointwise mutual information over category pairs of consecutive gold
-    entities, with high-frequency categories blacklisted."""
+    entities, keyed by the category pair in sorted order."""
 
     pair_scores: dict[tuple[str, str], float] = field(default_factory=dict)
-    category_counts: dict[str, int] = field(default_factory=dict)
-    blacklist: frozenset[str] = frozenset()
 
     def score(self, cat_a: str, cat_b: str) -> float:
         key = (cat_a, cat_b) if cat_a <= cat_b else (cat_b, cat_a)
         return self.pair_scores.get(key, 0.0)
 
     def to_payload(self) -> dict:
-        return {
-            "pairs": [[a, b, score] for (a, b), score in sorted(self.pair_scores.items())],
-            "category_counts": dict(sorted(self.category_counts.items())),
-            "blacklist": sorted(self.blacklist),
-        }
+        return {"pairs": [[a, b, score] for (a, b), score in sorted(self.pair_scores.items())]}
 
     @staticmethod
     def from_payload(payload: dict) -> "PmiTable":
-        return PmiTable(
-            pair_scores={(a, b): float(s) for a, b, s in payload.get("pairs", [])},
-            category_counts={c: int(n) for c, n in payload.get("category_counts", {}).items()},
-            blacklist=frozenset(payload.get("blacklist", [])),
-        )
+        return PmiTable({(a, b): float(s) for a, b, s in payload["pairs"]})
 
 
 def train_pmi(
@@ -161,7 +152,7 @@ def train_pmi(
         denom = counts.get(a, 0) * counts.get(b, 0)
         if denom > 0:
             pair_scores[(a, b)] = numer / denom
-    return PmiTable(pair_scores=pair_scores, category_counts=counts, blacklist=blacklist)
+    return PmiTable(pair_scores)
 
 
 def jaccard(a: Iterable, b: Iterable) -> float:
@@ -195,17 +186,16 @@ class _EntityData:
     """Per-entity derived data shared across feature computations."""
 
     __slots__ = (
-        "tokens", "text_vec", "top_vec", "ctx_vecs",
+        "words", "text_vec", "top_vec", "ctx_vecs",
         "norm_title", "norm_redirects", "acronyms", "title_tokens",
         "category_token_sets", "name_sequences",
     )
 
     def __init__(self, extractor: "FeatureExtractor", eid: str):
         index = extractor.index
-        stop = extractor.stopwords
         entry = index.entries[eid]
-        self.tokens = tokenize(entry.text)
-        self.text_vec = term_freq((t.text for t in self.tokens), stop)
+        self.words = tuple(t.text for t in tokenize(entry.text))
+        self.text_vec = term_freq(self.words)
         self.top_vec = top_terms(self.text_vec, extractor.top_n)
         # page context vectors, keyed by the normalized surface they centre on
         self.ctx_vecs: dict[str, TermVector] = {}
@@ -217,16 +207,13 @@ class _EntityData:
             if initials:
                 acronyms.add(initials)
         self.acronyms = frozenset(acronyms)
-        self.title_tokens = frozenset(t.text for t in tokenize(entry.title) if t.text not in stop)
-        self.category_token_sets = {
-            c: frozenset(t.text for t in tokenize(c) if t.text not in stop)
-            for c in entry.categories
-        }
+        self.title_tokens = frozenset(t.text for t in tokenize(entry.title))
+        self.category_token_sets = {c: frozenset(t.text for t in tokenize(c)) for c in entry.categories}
 
         def sequences(names: Iterable[str]) -> tuple[tuple[str, ...], ...]:
             seqs = []
             for name in names:
-                seq = tuple(t.text for t in tokenize(name) if t.text not in stop)
+                seq = tuple(t.text for t in tokenize(name))
                 if seq:
                     seqs.append(seq)
             return tuple(seqs)
@@ -240,8 +227,8 @@ class _EntityData:
 
 
 class MentionTerms(NamedTuple):
-    """Non-stopword tokens of a mention's surface and of its context window,
-    with their term-frequency vectors."""
+    """Tokens of a mention's surface and of its context window, with their
+    term-frequency vectors."""
 
     text_seq: tuple[str, ...]
     ctx_seq: tuple[str, ...]
@@ -257,15 +244,13 @@ class DocumentView:
         self.tokens = tokenize(doc.text)
         self._extractor = extractor
         self._mentions: dict[str, MentionTerms] = {}
-        self._partials: dict[tuple[str, str], np.ndarray] = {}
 
     def mention(self, mention: Mention) -> MentionTerms:
         terms = self._mentions.get(mention.id)
         if terms is None:
-            stop = self._extractor.stopwords
-            text_seq = tuple(t.text for t in tokenize(mention.surface) if t.text not in stop)
+            text_seq = tuple(t.text for t in tokenize(mention.surface))
             ctx_tokens = context_window(self.tokens, mention.start, self._extractor.window)
-            ctx_seq = tuple(t.text for t in ctx_tokens if t.text not in stop)
+            ctx_seq = tuple(t.text for t in ctx_tokens)
             terms = MentionTerms(text_seq, ctx_seq, term_freq(text_seq), term_freq(ctx_seq))
             self._mentions[mention.id] = terms
         return terms
@@ -284,14 +269,12 @@ class FeatureExtractor:
         pmi: PmiTable | None = None,
         registry: FeatureRegistry | None = None,
         *,
-        stopwords: frozenset[str] | set[str] = frozenset(),
-        window: int = 100,
-        top_n: int = 200,
+        window: int = PipelineConfig.context_window,
+        top_n: int = PipelineConfig.top_n,
     ):
         self.index = index
         self.pmi = pmi if pmi is not None else PmiTable()
         self.registry = registry if registry is not None else default_registry()
-        self.stopwords = frozenset(stopwords)
         self.window = window
         self.top_n = top_n
         self._idx = {name: self.registry.index(name) for name in self.registry.names}
@@ -314,14 +297,14 @@ class FeatureExtractor:
         key = normalize_name(surface)
         vec = data.ctx_vecs.get(key)
         if vec is None:
-            tokens = data.tokens
+            words = data.words
             needle = tuple(t.text for t in tokenize(surface))
-            first = next(contiguous_matches(needle, tuple(t.text for t in tokens)), None)
+            first = next(contiguous_matches(needle, words), None)
             if first is None:
-                window_tokens = tokens[: self.window]
+                vec = term_freq(words[: self.window])
             else:
-                window_tokens = context_window(tokens, tokens[first].start, self.window)
-            vec = term_freq((t.text for t in window_tokens), self.stopwords)
+                half = self.window // 2
+                vec = term_freq(words[max(0, first - half):first + half])
             data.ctx_vecs[key] = vec
         return vec
 
@@ -335,17 +318,11 @@ class FeatureExtractor:
     def mention_entity_features(
         self, mention: Mention, candidate: Candidate, view: DocumentView
     ) -> np.ndarray:
-        """Partial feature vector for one mention/candidate pair, cached per
-        document view and read-only.
+        """Partial feature vector for one mention/candidate pair.
 
         NIL candidates set only the NIL indicator; candidates without a KB
         entry keep every KB-derived feature at zero.
         """
-        cache_key = (mention.id, candidate.entity_id)
-        vec = view._partials.get(cache_key)
-        if vec is not None:
-            return vec
-
         idx = self._idx
         vec = np.zeros(len(self.registry))
         eid = candidate.entity_id
@@ -380,9 +357,6 @@ class FeatureExtractor:
                 and surface_key in data.acronyms
             )
             vec[idx["match_acronym"]] = 1.0 if is_acronym else 0.0
-
-        vec.flags.writeable = False
-        view._partials[cache_key] = vec
         return vec
 
     def entity_entity_features(self, first: str, second: str) -> np.ndarray:

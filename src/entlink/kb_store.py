@@ -9,6 +9,7 @@ single-writer.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import unicodedata
 import zlib
@@ -18,8 +19,16 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .text_vsm import tokenize
 
-# Reserved label for "not in the KB". KB files may not use it as an id.
+# Reserved label for "not in the KB". KB files may not use it, nor any NIL
+# cluster label (NIL + digits), as an id.
 NIL = "NIL"
+_NIL_PATTERN = re.compile(r"NIL\d*")
+
+
+def is_nil_label(label: str) -> bool:
+    """True for the bare NIL label and for cluster-qualified ones (NIL0042)."""
+    return bool(_NIL_PATTERN.fullmatch(label))
+
 
 _INDEX_MAGIC = b"ELIX"
 INDEX_FORMAT_VERSION = 2
@@ -73,8 +82,8 @@ class KbEntry:
             raise KbError(f"KB record missing field {exc}") from None
         if not isinstance(eid, str) or not eid:
             raise KbError("KB record id must be a non-empty string")
-        if eid == NIL:
-            raise KbError(f"KB id {NIL!r} is reserved")
+        if is_nil_label(eid):
+            raise KbError(f"KB id {eid!r} is reserved for NIL labels")
         for key in ("categories", "links", "redirects"):
             if not isinstance(record.get(key, []), list):
                 raise KbError(f"entry {eid!r}: {key!r} must be a list")
@@ -274,7 +283,7 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     """
     entries: dict[str, KbEntry] = {}
     for record in kb_records:
-        if record.id == NIL or not record.id:
+        if not record.id or is_nil_label(record.id):
             raise KbError(f"invalid KB id {record.id!r}")
         if record.id in entries:
             raise KbError(f"duplicate KB id {record.id!r}")

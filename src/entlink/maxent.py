@@ -18,7 +18,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .config import PipelineConfig
-from .evaluator import is_nil_label
 from .features import (
     ComponentChain,
     FeatureExtractor,
@@ -27,10 +26,14 @@ from .features import (
     default_registry,
     train_pmi,
 )
-from .kb_store import NIL, AnchorIndex, Candidate, FormatVersionError, normalize_name
+from .kb_store import NIL, AnchorIndex, Candidate, FormatVersionError, is_nil_label, normalize_name
 from .segmenter import MentionDocument, candidate_lists, connected_components
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+# Scores within NEAR_TIE * max(1, |best|) of the best are ties. Assignments
+# with equal feature sums (a swap of two mentions' candidates) can differ in
+# the last bits by summation order alone, and must still tie.
+NEAR_TIE = 1e-9
 
 
 class TrainingError(RuntimeError):
@@ -173,18 +176,19 @@ class ChainStates:
     def decode(self, weights: np.ndarray, ids: Sequence[Sequence[str]]) -> tuple[list[int], float]:
         """Best assignment (candidate positions) and its probability.
 
-        Among assignments with exactly the best score, the smallest id
-        sequence wins: each mention takes the smallest id among the choices
-        that still reach the best score.
+        Among assignments tied with the best score (up to `NEAR_TIE`), the
+        smallest id sequence wins: each mention takes the smallest id among
+        the choices that still reach the best score.
         """
         start, transitions, end = self.potentials(weights)
         best_rest = self.backward(transitions, end, np.maximum.reduce)
         log_z = _logsumexp(start + self.backward(transitions, end, _logsumexp)[0])
         scores = start + best_rest[0]
         best = float(scores.max())
+        tol = NEAR_TIE * max(1.0, abs(best))
         choice = []
         for i, cand in enumerate(self.cand):
-            tied = np.flatnonzero(scores == scores.max())
+            tied = np.flatnonzero(scores >= scores.max() - tol)
             state = min(tied, key=lambda t: ids[i][cand[t]])
             choice.append(int(cand[state]))
             if i < len(transitions):
@@ -347,7 +351,6 @@ def train(
     index: AnchorIndex,
     config: PipelineConfig | None = None,
     *,
-    stopwords: frozenset[str] | set[str] = frozenset(),
     blacklist_threshold: float = 0.05,
     tol: float = 1e-6,
     max_iter: int = 500,
@@ -366,14 +369,7 @@ def train(
                 gold_sequences.append([m.gold for m in component.mentions])
     pmi = train_pmi(gold_sequences, index, blacklist_threshold)
     registry = default_registry()
-    extractor = FeatureExtractor(
-        index,
-        pmi,
-        registry,
-        stopwords=stopwords,
-        window=config.context_window,
-        top_n=config.top_n,
-    )
+    extractor = FeatureExtractor(index, pmi, registry, window=config.context_window, top_n=config.top_n)
     instances, stats = build_training_instances(docs, index, extractor, config)
     weights, trace, converged = fit_weights(instances, config.sigma, len(registry), tol=tol, max_iter=max_iter)
     model = Model(weights=weights, registry=registry, pmi=pmi, config=config)
@@ -400,10 +396,10 @@ def decode(
 
     Each connected component is decoded independently and exactly: the
     highest-scoring joint assignment over up to `max_candidates` candidates
-    per mention wins, with exact ties going to the smallest id sequence. The
+    per mention wins, with ties going to the smallest id sequence. The
     reported score is that assignment's probability within its component
     (the same for all its mentions), not a per-mention confidence. Without
-    an `extractor`, decode builds one without stop words.
+    an `extractor`, decode builds one for the model.
     """
     if extractor is None:
         extractor = FeatureExtractor(

@@ -14,7 +14,7 @@ from conftest import (
     random_boolean_kb,
     random_chain_doc,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entlink.config import PipelineConfig
@@ -71,6 +71,10 @@ def test_random_components_set_boolean_features():
     n_mentions=st.integers(1, 6),
     kind=st.sampled_from(["normal", "integral", "zero"]),
 )
+# Two candidates swapped between mentions: equal feature sums whose scores
+# differ in the last bit, in decode's summation order or in the oracle's.
+@example(seed=118, n_mentions=5, kind="normal")
+@example(seed=597, n_mentions=3, kind="normal")
 def test_decode_equals_oracle_argmax(seed, n_mentions, kind):
     rng = random.Random(seed)
     index = random_boolean_kb(rng)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: build-index -> train -> link -> eval on tmp files."""
 
+import argparse
 import json
 import random
 import struct
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entlink.cli import run
+from entlink.cli import build_parser, run
 from entlink.fixtures import synthetic_corpus, toy_documents, toy_kb_entries
 from entlink.maxent import read_predictions
 
@@ -203,7 +204,8 @@ class TestErrors:
         [
             pytest.param(c, f, id=f"{c}-{f[2:]}")
             for c, f in [("train", "--budget"), ("build-index", "--max-candidates"), ("build-index", "--seed"),
-                         ("train", "--seed"), ("link", "--seed"), ("eval", "--seed")]
+                         ("train", "--seed"), ("link", "--seed"), ("eval", "--seed"),
+                         ("train", "--stopwords"), ("link", "--stopwords")]
         ],
     )
     def test_removed_flags_rejected(self, command, flag):
@@ -266,10 +268,18 @@ class TestCorruptArtifacts:
                     "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
 
-    @pytest.mark.parametrize("target", ["toy.idx", "model.json"])
-    def test_previous_format_exits_1(self, toy_artifacts, tmp_path, caplog, target):
-        """A format-1 index (with max_candidates) or a format-2 model (with
-        sigma beside the config) is rejected, not read."""
+    @pytest.mark.parametrize(
+        "target,version",
+        [
+            pytest.param("toy.idx", 1, id="toy.idx"),
+            pytest.param("model.json", 2, id="model.json"),
+            pytest.param("model.json", 3, id="model.json-format3"),
+        ],
+    )
+    def test_previous_format_exits_1(self, toy_artifacts, tmp_path, caplog, target, version):
+        """A format-1 index (with max_candidates), a format-2 model (with
+        sigma beside the config) or a format-3 model (with PMI category
+        counts and blacklist) is rejected, not read."""
         for name, blob in toy_artifacts.items():
             (tmp_path / name).write_bytes(blob)
         if target == "toy.idx":
@@ -279,7 +289,11 @@ class TestCorruptArtifacts:
             old = blob[:4] + struct.pack("<I", 1) + zlib.compress(json.dumps(payload).encode())
         else:
             payload = json.loads(toy_artifacts["model.json"])
-            payload.update(format_version=2, sigma=0.5)
+            payload["format_version"] = version
+            if version == 2:
+                payload["sigma"] = 0.5
+            else:
+                payload["pmi"].update(category_counts={"Atlanta": 1}, blacklist=["Companies"])
             old = json.dumps(payload).encode()
         (tmp_path / target).write_bytes(old)
         code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(tmp_path / "toy.idx"),
@@ -335,6 +349,8 @@ class TestMalformedRecords:
             pytest.param({"id": "A", "title": "A", "text": "a", "categories": "Cat"}, id="categories-string"),
             pytest.param({"id": "A", "title": "A", "text": "a", "redirects": {"B": 1}}, id="redirects-object"),
             pytest.param({"id": "A", "title": "A", "text": "a", "links": 5}, id="links-number"),
+            pytest.param({"id": "NIL7", "title": "A", "text": "a"}, id="nil-cluster-id-NIL7"),
+            pytest.param({"id": "NIL0001", "title": "A", "text": "a"}, id="nil-cluster-id-NIL0001"),
         ],
     )
     def test_build_index_exits_1(self, tmp_path, caplog, record):
@@ -375,6 +391,28 @@ class TestMalformedRecords:
                     "--in", str(bad), "--out", str(tmp_path / "p.jsonl")])
         assert code == 1
         assert any("surrogates not allowed" in r.getMessage() for r in caplog.records)
+
+
+def test_readme_defaults_match_parser():
+    """The README "Configuration defaults" table lists every defaulted
+    `train` and `link` option, with the parser's default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration defaults", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`--"):
+            table[cells[0].strip("`")] = cells[1]
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = {
+        action.option_strings[0]: action
+        for command in ("train", "link")
+        for action in subparsers.choices[command]._actions
+        if action.option_strings and not action.required and action.default not in (None, argparse.SUPPRESS)
+    }
+    assert set(table) == set(defaults)
+    for flag, action in defaults.items():
+        assert action.type(table[flag]) == action.default, flag
 
 
 SELFCHECKS = [

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from entlink.evaluator import EvalError, b3plus_f1, bot_f1, is_nil_label
+from entlink.evaluator import EvalError, b3plus_f1, bot_f1
+from entlink.kb_store import is_nil_label
 
 
 class TestNilLabels:

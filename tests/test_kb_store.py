@@ -76,8 +76,13 @@ class TestBuildIndex:
             build_index([entry, entry])
 
     def test_reserved_nil_id_rejected(self):
-        with pytest.raises(KbError):
-            build_index([KbEntry(id=NIL, title="nil", text="")])
+        """Every NIL label is reserved, not only the bare one: a KB id NIL7
+        would be linked and then scored as NIL."""
+        for eid in (NIL, "NIL7", "NIL0001"):
+            with pytest.raises(KbError):
+                build_index([KbEntry(id=eid, title="nil", text="")])
+            with pytest.raises(KbError):
+                KbEntry.from_record({"id": eid, "title": "nil", "text": ""})
 
     def test_dangling_target_counted_and_kept_in_postings(self):
         entries = [

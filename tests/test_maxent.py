@@ -378,14 +378,13 @@ class TestModelSerialization:
         index = toy_index()
         registry = default_registry()
         weights = np.linspace(-1.0, 1.0, len(registry))
-        model = Model(weights, registry, PmiTable({("A", "B"): 0.5}, {"A": 2}, frozenset({"X"})), PipelineConfig())
+        model = Model(weights, registry, PmiTable({("A", "B"): 0.5}), PipelineConfig())
         path = tmp_path / "model.json"
         model.save(str(path))
         loaded = Model.load(str(path))
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.registry == model.registry
         assert loaded.pmi.pair_scores == model.pmi.pair_scores
-        assert loaded.pmi.blacklist == model.pmi.blacklist
         doc = home_depot_document()
         before = decode(model, doc, index)
         after = decode(loaded, doc, index)

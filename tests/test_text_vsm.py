@@ -174,9 +174,6 @@ class TestVectors:
             "the": 2.0, "cat": 1.0, "and": 1.0, "hat": 1.0,
         }
 
-    def test_text_vector_stopwords(self):
-        assert term_freq(terms(tokenize("the cat and the hat")), {"the", "and"}) == {"cat": 1.0, "hat": 1.0}
-
     def test_top_vector_restriction(self):
         full = term_freq(terms(tokenize("b b a a c")))
         assert top_terms(full, 10**9) == full
