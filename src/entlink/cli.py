@@ -12,7 +12,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .config import PipelineConfig
+from .config import BLACKLIST_THRESHOLD, MAX_ITER, TOL, PipelineConfig
 from .evaluator import EvalError, b3plus_f1, bot_f1
 from .features import FeatureExtractor
 from .kb_store import NIL, AnchorIndex, FormatVersionError, KbError, build_index, is_nil_label, load_kb_jsonl
@@ -51,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--gap", type=int, default=PipelineConfig.gap)
     p_train.add_argument("--window", type=int, default=PipelineConfig.context_window)
     p_train.add_argument("--top-n", type=int, default=PipelineConfig.top_n)
-    p_train.add_argument("--blacklist-threshold", type=float, default=0.05)
-    p_train.add_argument("--tol", type=float, default=1e-6)
-    p_train.add_argument("--max-iter", type=int, default=500)
+    p_train.add_argument("--blacklist-threshold", type=float, default=BLACKLIST_THRESHOLD)
+    p_train.add_argument("--tol", type=float, default=TOL)
+    p_train.add_argument("--max-iter", type=int, default=MAX_ITER)
     p_train.set_defaults(func=cmd_train)
 
     p_link = sub.add_parser("link", help="label documents with a trained model")

@@ -6,6 +6,12 @@ from dataclasses import asdict, dataclass, fields
 
 from .kb_store import FormatVersionError
 
+# Training-only defaults. They shape the weights but are not saved with the
+# model, so they stay out of PipelineConfig.
+BLACKLIST_THRESHOLD = 0.05  # PMI ignores categories on more than this share of gold entities
+TOL = 1e-6                  # converged once every gradient component is at most this
+MAX_ITER = 500              # most L-BFGS iterations
+
 
 @dataclass(frozen=True)
 class PipelineConfig:

@@ -2,11 +2,14 @@
 
 Every feature measures overlap between document text and KB-entry text or
 structure; none reads a word list or any other lexical resource, so a model
-trained on one language links another unchanged. Real-valued features are
-summed over the mentions (or consecutive candidate pairs) of an assignment;
-boolean features combine with AND. A component's features therefore form a
-linear chain (`ComponentChain`): unary rows per mention, pair blocks per
-consecutive pair of mentions, and one bitmask of true booleans per candidate.
+trained on one language links another unchanged. Only a document's own text
+is tokenized with byte offsets, to find each mention's context window; page
+text, names and mention surfaces are compared as sequences of token words
+(`text_vsm.words`). Real-valued features are summed over the mentions (or
+consecutive candidate pairs) of an assignment; boolean features combine with
+AND. A component's features therefore form a linear chain (`ComponentChain`):
+unary rows per mention, pair blocks per consecutive pair of mentions, and one
+bitmask of true booleans per candidate.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import BLACKLIST_THRESHOLD, PipelineConfig
 from .kb_store import NIL, AnchorIndex, Candidate, normalize_name
 from .segmenter import ConnectedComponent, Mention, MentionDocument
-from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize, top_terms
+from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize, top_terms, words
 
 COSINE_FEATURES = (
     "cos_text_text",   # page text vs mention text
@@ -106,7 +109,7 @@ class PmiTable:
 def train_pmi(
     gold_components: Iterable[Sequence[str]],
     index: AnchorIndex,
-    blacklist_threshold: float = 0.05,
+    blacklist_threshold: float = BLACKLIST_THRESHOLD,
 ) -> PmiTable:
     """Build the PMI table from gold entity-id sequences, one per component.
 
@@ -194,7 +197,7 @@ class _EntityData:
     def __init__(self, extractor: "FeatureExtractor", eid: str):
         index = extractor.index
         entry = index.entries[eid]
-        self.words = tuple(t.text for t in tokenize(entry.text))
+        self.words = words(entry.text)
         self.text_vec = term_freq(self.words)
         self.top_vec = top_terms(self.text_vec, extractor.top_n)
         # page context vectors, keyed by the normalized surface they centre on
@@ -203,17 +206,17 @@ class _EntityData:
         self.norm_redirects = frozenset(normalize_name(r) for r in entry.redirects)
         acronyms = set()
         for name in [entry.title, *entry.redirects]:
-            initials = _acronym([t.text for t in tokenize(name)])
+            initials = _acronym(words(name))
             if initials:
                 acronyms.add(initials)
         self.acronyms = frozenset(acronyms)
-        self.title_tokens = frozenset(t.text for t in tokenize(entry.title))
-        self.category_token_sets = {c: frozenset(t.text for t in tokenize(c)) for c in entry.categories}
+        self.title_tokens = frozenset(words(entry.title))
+        self.category_token_sets = {c: frozenset(words(c)) for c in entry.categories}
 
         def sequences(names: Iterable[str]) -> tuple[tuple[str, ...], ...]:
             seqs = []
             for name in names:
-                seq = tuple(t.text for t in tokenize(name))
+                seq = words(name)
                 if seq:
                     seqs.append(seq)
             return tuple(seqs)
@@ -248,7 +251,7 @@ class DocumentView:
     def mention(self, mention: Mention) -> MentionTerms:
         terms = self._mentions.get(mention.id)
         if terms is None:
-            text_seq = tuple(t.text for t in tokenize(mention.surface))
+            text_seq = words(mention.surface)
             ctx_tokens = context_window(self.tokens, mention.start, self._extractor.window)
             ctx_seq = tuple(t.text for t in ctx_tokens)
             terms = MentionTerms(text_seq, ctx_seq, term_freq(text_seq), term_freq(ctx_seq))
@@ -297,14 +300,13 @@ class FeatureExtractor:
         key = normalize_name(surface)
         vec = data.ctx_vecs.get(key)
         if vec is None:
-            words = data.words
-            needle = tuple(t.text for t in tokenize(surface))
-            first = next(contiguous_matches(needle, words), None)
+            page = data.words
+            first = next(contiguous_matches(words(surface), page), None)
             if first is None:
-                vec = term_freq(words[: self.window])
+                vec = term_freq(page[: self.window])
             else:
                 half = self.window // 2
-                vec = term_freq(words[max(0, first - half):first + half])
+                vec = term_freq(page[max(0, first - half):first + half])
             data.ctx_vecs[key] = vec
         return vec
 

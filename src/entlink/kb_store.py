@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .text_vsm import tokenize
+from .text_vsm import words
 
 # Reserved label for "not in the KB". KB files may not use it, nor any NIL
 # cluster label (NIL + digits), as an id.
@@ -143,7 +143,7 @@ class AnchorIndex:
     def _build_token_map(self) -> None:
         by_token: dict[str, list[str]] = defaultdict(list)
         for anchor in sorted(self.postings):
-            toks = frozenset(t.text for t in tokenize(anchor))
+            toks = frozenset(words(anchor))
             self._anchor_tokens[anchor] = toks
             for tok in toks:
                 by_token[tok].append(anchor)
@@ -167,7 +167,7 @@ class AnchorIndex:
     def _subword_postings(self, key: str) -> list[tuple[str, int]]:
         """Fallback lookup: merge anchors whose token set is a superset or
         subset of the query's token set, summing counts per entity."""
-        query_tokens = frozenset(t.text for t in tokenize(key))
+        query_tokens = frozenset(words(key))
         if not query_tokens:
             return []
         matched: set[str] = set()
@@ -264,8 +264,10 @@ class AnchorIndex:
             raise FormatVersionError(f"corrupt anchor-index file ({type(exc).__name__}: {exc})") from None
 
     def save(self, path: str) -> None:
+        # Serialized before the file is opened: a failure leaves it as it was.
+        blob = self.to_bytes()
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(blob)
 
     @staticmethod
     def load(path: str) -> "AnchorIndex":

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .config import PipelineConfig
+from .config import BLACKLIST_THRESHOLD, MAX_ITER, TOL, PipelineConfig
 from .features import (
     ComponentChain,
     FeatureExtractor,
@@ -65,9 +64,10 @@ class Model:
             "pmi": self.pmi.to_payload(),
             "config": self.config.to_dict(),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
+        # Encoded before the file is opened: a failure leaves it as it was.
+        blob = (json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(blob)
 
     @staticmethod
     def load(path: str) -> "Model":
@@ -240,8 +240,8 @@ def fit_weights(
     sigma: float,
     dim: int,
     *,
-    tol: float = 1e-6,
-    max_iter: int = 500,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
 ) -> tuple[np.ndarray, list[float], bool]:
     """Maximize the objective with L-BFGS (memory 10) from a zero start.
 
@@ -252,6 +252,9 @@ def fit_weights(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    # Imported here: only training needs scipy, and it takes longer to import
+    # than everything else that `entlink link` loads.
+    from scipy.optimize import minimize
 
     last: list = []  # [w, value, grad] of the latest evaluation
 
@@ -351,9 +354,9 @@ def train(
     index: AnchorIndex,
     config: PipelineConfig | None = None,
     *,
-    blacklist_threshold: float = 0.05,
-    tol: float = 1e-6,
-    max_iter: int = 500,
+    blacklist_threshold: float = BLACKLIST_THRESHOLD,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
 ) -> TrainResult:
     """End-to-end training: PMI table from gold sequences, then weights.
 

@@ -1,9 +1,13 @@
 """End-to-end CLI tests: build-index -> train -> link -> eval on tmp files."""
 
 import argparse
+import inspect
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -13,8 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entlink.cli import build_parser, run
+from entlink.config import BLACKLIST_THRESHOLD, MAX_ITER, TOL
+from entlink.features import train_pmi
 from entlink.fixtures import synthetic_corpus, toy_documents, toy_kb_entries
-from entlink.maxent import read_predictions
+from entlink.maxent import fit_weights, read_predictions, train
 
 
 def write_jsonl(path, records):
@@ -53,6 +59,20 @@ class TestBuildIndex:
     def test_unreadable_kb_fails(self, tmp_path):
         out = tmp_path / "toy.idx"
         assert run(["build-index", "--kb", str(tmp_path / "missing.jsonl"), "--out", str(out)]) != 0
+
+    def test_failed_build_keeps_the_existing_index(self, toy_paths, caplog):
+        """A page text with a lone surrogate cannot be serialized, so the
+        build exits 1 and the index already at --out stays as it was."""
+        tmp_path, kb_path, _ = toy_paths
+        out = tmp_path / "toy.idx"
+        assert run(["build-index", "--kb", kb_path, "--out", str(out)]) == 0
+        before = out.read_bytes()
+        bad = tmp_path / "bad.jsonl"
+        record = {**toy_kb_entries()[0].to_record(), "text": "x \ud800 y"}
+        bad.write_text(json.dumps(record) + "\n", encoding="ascii")
+        assert run(["build-index", "--kb", str(bad), "--out", str(out)]) == 1
+        assert any("surrogates not allowed" in r.getMessage() for r in caplog.records)
+        assert out.read_bytes() == before
 
 
 class TestPipeline:
@@ -413,6 +433,33 @@ def test_readme_defaults_match_parser():
     assert set(table) == set(defaults)
     for flag, action in defaults.items():
         assert action.type(table[flag]) == action.default, flag
+
+
+def test_training_defaults_have_one_definition():
+    """The `train` parser, `maxent.train`, `maxent.fit_weights` and
+    `features.train_pmi` all default to the constants in `entlink.config`."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = {a.dest: a.default for a in subparsers.choices["train"]._actions}
+    library = {
+        "blacklist_threshold": [train_pmi, train],
+        "tol": [train, fit_weights],
+        "max_iter": [train, fit_weights],
+    }
+    constants = {"blacklist_threshold": BLACKLIST_THRESHOLD, "tol": TOL, "max_iter": MAX_ITER}
+    for name, functions in library.items():
+        assert parser[name] == constants[name], name
+        for fn in functions:
+            assert inspect.signature(fn).parameters[name].default == constants[name], (fn.__name__, name)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only training imports scipy, so `link`, `eval` and `build-index` start
+    without it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, entlink.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 SELFCHECKS = [

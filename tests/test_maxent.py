@@ -390,6 +390,18 @@ class TestModelSerialization:
         after = decode(loaded, doc, index)
         assert before == after
 
+    def test_failed_save_keeps_the_existing_file(self, tmp_path):
+        """A category with a lone surrogate has no UTF-8 encoding: saving
+        raises, and the model file already there stays as it was."""
+        registry = default_registry()
+        path = tmp_path / "model.json"
+        Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig()).save(str(path))
+        before = path.read_bytes()
+        bad = Model(np.zeros(len(registry)), registry, PmiTable({("A", "\ud800"): 0.5}), PipelineConfig())
+        with pytest.raises(UnicodeEncodeError):
+            bad.save(str(path))
+        assert path.read_bytes() == before
+
     def test_version_mismatch_rejected(self, tmp_path):
         index = toy_index()
         registry = default_registry()

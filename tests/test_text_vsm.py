@@ -9,7 +9,7 @@ from conftest import _is_cjk, _is_word_char, oracle_tokenize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlink.text_vsm import _CJK_RANGES, _MARK_RANGES, context_window, cosine, term_freq, tokenize, top_terms
+from entlink.text_vsm import _CJK_RANGES, _MARK_RANGES, context_window, cosine, term_freq, tokenize, top_terms, words
 
 
 def terms(tokens):
@@ -19,9 +19,14 @@ def terms(tokens):
 class TestTokenize:
     def test_whitespace_split_and_casefold(self):
         assert [t.text for t in tokenize("Home Depot CEO")] == ["home", "depot", "ceo"]
+        assert words("Home Depot CEO") == ("home", "depot", "ceo")
+
+    def test_words_casefold_each_non_ascii_token(self):
+        assert words("STRASSE Straße ΣΟΦΊΑ 李娜") == ("strasse", "strasse", "σοφία", "李", "娜")
 
     def test_empty(self):
         assert tokenize("") == []
+        assert words("") == ()
 
     def test_cjk_single_character_tokens(self):
         assert [t.text for t in tokenize("李娜 wins")] == ["李", "娜", "wins"]
@@ -80,6 +85,8 @@ class TestTokenizeOffsets:
             oracle_tokenize(text)
         with pytest.raises(UnicodeEncodeError):
             tokenize(text)
+        with pytest.raises(UnicodeEncodeError):
+            words(text)
 
 
 # -- the compiled pattern against the per-character oracle --------------------------
@@ -102,13 +109,21 @@ def _outcome(tokenizer, text):
         return type(exc)
 
 
+def _token_texts(text):
+    return tuple(t.text for t in tokenize(text))
+
+
 def _differs(text):
-    return _outcome(tokenize, text) != _outcome(oracle_tokenize, text)
+    """tokenize against the oracle, and words against tokenize's token texts."""
+    return (
+        _outcome(tokenize, text) != _outcome(oracle_tokenize, text)
+        or _outcome(words, text) != _outcome(_token_texts, text)
+    )
 
 
 def _report(code_points):
     return (
-        f"tokenize differs from the oracle at {len(code_points)} code points "
+        f"tokenize or words differs at {len(code_points)} code points "
         f"{[f'U+{cp:04X}' for cp in code_points[:50]]}; if unicodedata.unidata_version "
         f"({unicodedata.unidata_version}) is newer than the table's, regenerate "
         "text_vsm._MARK_RANGES as the ranges of category M outside the CJK blocks"
@@ -119,13 +134,14 @@ def test_every_code_point_tokenizes_like_the_oracle():
     """Every code point but the surrogates, twice between underscores, which
     tells the classes apart: a separator gives no token, a CJK character two,
     and a letter, digit or mark one token of both characters; the offsets give
-    its UTF-8 width. A block that differs is searched code point by code
-    point."""
+    its UTF-8 width. words must give tokenize's token texts. A block that
+    differs is searched code point by code point."""
     bad = []
     for lo in range(0, 0x110000, 0x1000):
         block = [cp for cp in range(lo, lo + 0x1000) if cp not in _SURROGATES]
         text = "_" + "_".join(chr(cp) * 2 for cp in block) + "_"
-        if tokenize(text) != oracle_tokenize(text):
+        tokens = tokenize(text)
+        if tokens != oracle_tokenize(text) or words(text) != tuple(t.text for t in tokens):
             bad += [cp for cp in block if _differs(f"_{chr(cp) * 2}_")]
     assert not bad, _report(bad)
 
@@ -156,6 +172,13 @@ def test_class_edges_tokenize_like_the_oracle_in_context(before, after):
     assert not bad, _report(bad)
 
 
+@pytest.mark.parametrize("template", ["{c}", "a{c}b", "_{c}{c}_", "X{c}"])
+def test_every_ascii_character_tokenizes_like_the_oracle(template):
+    """ASCII text takes words' fold-first path."""
+    bad = [cp for cp in range(0x80) if _differs(template.format(c=chr(cp)))]
+    assert not bad, _report(bad)
+
+
 _EDGE_CHARS = [chr(cp) for cp in _RANGE_EDGES] + list("_\u3099\u309a\u30fb\u0301")
 
 
@@ -164,8 +187,10 @@ _EDGE_CHARS = [chr(cp) for cp in _RANGE_EDGES] + list("_\u3099\u309a\u30fb\u0301
 def test_tokenize_matches_oracle_on_any_text(text):
     """Text drawn from every general category, astral planes and lone
     surrogates included, with CJK and mark range edges mixed in: equal
-    tokens, or the oracle's exception type."""
+    tokens, or the oracle's exception type; and words gives tokenize's token
+    texts, or its exception type."""
     assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
+    assert _outcome(words, text) == _outcome(_token_texts, text)
 
 
 class TestVectors:
