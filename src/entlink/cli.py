@@ -185,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.metric == "bot":
         pred_by_doc: dict[str, list[str]] = {d: [] for d in gold_doc_ids}
         for r in records:
-            pred_by_doc[r["doc_id"]].append(str(r["prediction"]))
+            pred_by_doc[r["doc_id"]].append(r["prediction"])
         gold_by_doc = {
             d.doc_id: [m.gold for m in d.mentions if m.gold is not None] for d in gold_docs
         }
@@ -202,9 +202,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             key = (r["doc_id"], r["mention_id"])
             if key not in gold_map:
                 continue  # unlabeled mentions are not queries
-            label = str(r["prediction"])
+            label = r["prediction"]
             if is_nil_label(label):
-                label = str(r.get("nil_cluster", label))
+                label = r.get("nil_cluster", label)
             pred_map[key] = label
         report = b3plus_f1(pred_map, gold_map)
 

@@ -3,13 +3,14 @@
 Every feature measures overlap between document text and KB-entry text or
 structure; none reads a word list or any other lexical resource, so a model
 trained on one language links another unchanged. Only a document's own text
-is tokenized with byte offsets, to find each mention's context window; page
-text, names and mention surfaces are compared as sequences of token words
-(`text_vsm.words`). Real-valued features are summed over the mentions (or
-consecutive candidate pairs) of an assignment; boolean features combine with
-AND. A component's features therefore form a linear chain (`ComponentChain`):
-unary rows per mention, pair blocks per consecutive pair of mentions, and one
-bitmask of true booleans per candidate.
+is tokenized with byte offsets, to find each mention's context window; it is
+tokenized once (`MentionDocument.tokens`), for the features and the
+components alike. Page text, names and mention surfaces are compared as
+sequences of token words (`text_vsm.words`). Real-valued features are summed
+over the mentions (or consecutive candidate pairs) of an assignment; boolean
+features combine with AND. A component's features therefore form a linear
+chain (`ComponentChain`): unary rows per mention, pair blocks per consecutive
+pair of mentions, and one bitmask of true booleans per candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .config import BLACKLIST_THRESHOLD, PipelineConfig
 from .kb_store import NIL, AnchorIndex, Candidate, normalize_name
 from .segmenter import ConnectedComponent, Mention, MentionDocument
-from .text_vsm import TermVector, context_window, cosine, term_freq, tokenize, top_terms, words
+from .text_vsm import TermVector, context_window, cosine, term_freq, top_terms, words
 
 COSINE_FEATURES = (
     "cos_text_text",   # page text vs mention text
@@ -240,11 +241,10 @@ class MentionTerms(NamedTuple):
 
 
 class DocumentView:
-    """Tokenization and per-mention terms of one document, computed once."""
+    """Per-mention terms of one document, computed once from its tokens."""
 
     def __init__(self, extractor: "FeatureExtractor", doc: MentionDocument):
         self.doc = doc
-        self.tokens = tokenize(doc.text)
         self._extractor = extractor
         self._mentions: dict[str, MentionTerms] = {}
 
@@ -252,7 +252,7 @@ class DocumentView:
         terms = self._mentions.get(mention.id)
         if terms is None:
             text_seq = words(mention.surface)
-            ctx_tokens = context_window(self.tokens, mention.start, self._extractor.window)
+            ctx_tokens = context_window(self.doc.tokens, mention.start, self._extractor.window)
             ctx_seq = tuple(t.text for t in ctx_tokens)
             terms = MentionTerms(text_seq, ctx_seq, term_freq(text_seq), term_freq(ctx_seq))
             self._mentions[mention.id] = terms

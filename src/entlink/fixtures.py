@@ -165,7 +165,8 @@ def random_mention_document(
     max_words: int = 120,
     max_mentions: int = 50,
 ) -> MentionDocument:
-    """Random ASCII document with possibly overlapping mention spans."""
+    """Random ASCII document with possibly overlapping or nested mention
+    spans of 1 to 4 words; a span may start or end inside a word."""
     n_words = rng.randint(5, max_words)
     words = [f"t{i}" for i in range(n_words)]
     text = " ".join(words)
@@ -178,10 +179,12 @@ def random_mention_document(
     n_mentions = rng.randint(0, min(max_mentions, n_words))
     for i in range(n_mentions):
         first = rng.randrange(n_words)
-        length = min(rng.choice((1, 1, 2)), n_words - first)
-        start = word_starts[first]
-        last_word = words[first + length - 1]
-        end = word_starts[first + length - 1] + len(last_word)
+        last = min(first + rng.choice((0, 0, 1, 2, 3)), n_words - 1)
+        start, end = word_starts[first], word_starts[last] + len(words[last])
+        if rng.random() < 0.2:
+            start += rng.randrange(len(words[first]))
+        if rng.random() < 0.2:
+            end -= rng.randrange(end - start)
         record["mentions"].append({"id": f"m{i}", "start": start, "end": end})
     return MentionDocument.from_record(record)
 

@@ -84,22 +84,28 @@ class KbEntry:
             raise KbError("KB record id must be a non-empty string")
         if is_nil_label(eid):
             raise KbError(f"KB id {eid!r} is reserved for NIL labels")
-        for key in ("categories", "links", "redirects"):
-            if not isinstance(record.get(key, []), list):
-                raise KbError(f"entry {eid!r}: {key!r} must be a list")
-        links = []
-        for link in record.get("links", ()):
-            try:
-                links.append((str(link["anchor"]), str(link["target"])))
-            except (KeyError, TypeError):
-                raise KbError(f"entry {eid!r}: links need 'anchor' and 'target'") from None
+        if not isinstance(title, str) or not isinstance(text, str):
+            raise KbError(f"entry {eid!r}: 'title' and 'text' must be strings")
+        for key in ("categories", "redirects"):
+            names = record.get(key, [])
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise KbError(f"entry {eid!r}: {key!r} must be a list of strings")
+        links = record.get("links", [])
+        if not isinstance(links, list):
+            raise KbError(f"entry {eid!r}: 'links' must be a list")
+        try:
+            outlinks = tuple((link["anchor"], link["target"]) for link in links)
+        except (KeyError, TypeError):
+            raise KbError(f"entry {eid!r}: links need 'anchor' and 'target'") from None
+        if not all(isinstance(a, str) and isinstance(t, str) for a, t in outlinks):
+            raise KbError(f"entry {eid!r}: a link's 'anchor' and 'target' must be strings")
         return KbEntry(
             id=eid,
-            title=str(title),
-            text=str(text),
-            categories=frozenset(str(c) for c in record.get("categories", ())),
-            outlinks=tuple(links),
-            redirects=frozenset(str(r) for r in record.get("redirects", ())),
+            title=title,
+            text=text,
+            categories=frozenset(record.get("categories", ())),
+            outlinks=outlinks,
+            redirects=frozenset(record.get("redirects", ())),
         )
 
     def to_record(self) -> dict:

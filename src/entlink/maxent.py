@@ -395,7 +395,8 @@ def decode(
     *,
     extractor: FeatureExtractor | None = None,
 ) -> list[Prediction]:
-    """Label every mention of a document with its best candidate (or NIL).
+    """Label every mention of a document with its best candidate (or NIL),
+    in the order of `doc.mentions`.
 
     Each connected component is decoded independently and exactly: the
     highest-scoring joint assignment over up to `max_candidates` candidates
@@ -416,20 +417,20 @@ def decode(
         raise ValueError("extractor registry does not match the model registry")
 
     view = extractor.document_view(doc)
-    by_mention: dict[str, Prediction] = {}
+    predictions = []  # components are contiguous runs of doc.mentions, in order
     for component in connected_components(doc, model.config.gap):
         lists = candidate_lists(component, index, model.config.max_candidates)
         states = ChainStates(extractor.component_chain(component, lists, view))
         choice, score = states.decode(model.weights, [[c.entity_id for c in lst] for lst in lists])
         for mention, lst, j in zip(component.mentions, lists, choice):
-            by_mention[mention.id] = Prediction(
+            predictions.append(Prediction(
                 doc_id=doc.doc_id,
                 mention_id=mention.id,
                 entity_id=lst[j].entity_id,
                 score=score,
                 surface=mention.surface,
-            )
-    return [by_mention[m.id] for m in doc.mentions]
+            ))
+    return predictions
 
 
 def nil_cluster(predictions: Iterable[Prediction]) -> list[Prediction]:
@@ -470,7 +471,8 @@ def write_predictions(predictions: Iterable[Prediction], path: str) -> None:
 
 def read_predictions(path: str) -> list[dict]:
     """Read prediction records written by `write_predictions`; each must be
-    an object with string `doc_id` and `mention_id`, and a `prediction`."""
+    an object with string `doc_id`, `mention_id` and `prediction`, and a
+    string `nil_cluster` if it has one."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -483,12 +485,12 @@ def read_predictions(path: str) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not (
                 isinstance(record, dict)
-                and isinstance(record.get("doc_id"), str)
-                and isinstance(record.get("mention_id"), str)
-                and "prediction" in record
+                and all(isinstance(record.get(k), str) for k in ("doc_id", "mention_id", "prediction"))
+                and isinstance(record.get("nil_cluster", ""), str)
             ):
                 raise ValueError(
-                    f"{path}:{lineno}: a prediction needs string 'doc_id' and 'mention_id', and 'prediction'"
+                    f"{path}:{lineno}: a prediction needs string 'doc_id', 'mention_id' and 'prediction',"
+                    " and 'nil_cluster' must be a string if present"
                 )
             records.append(record)
     return records

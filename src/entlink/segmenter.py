@@ -1,14 +1,23 @@
 """Partition document mentions into connected components and retrieve each
-mention's candidate list."""
+mention's candidate list.
+
+A document tokenizes its text once, on first use, and both the components
+and the features read those tokens. The components come from one pass over
+the mentions sorted by start, each a contiguous run of them.
+"""
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .kb_store import AnchorIndex, Candidate
-from .text_vsm import tokenize
+from .text_vsm import TokenStream, tokenize
+
+_START, _END = attrgetter("start"), attrgetter("end")
 
 
 class DocumentError(ValueError):
@@ -24,38 +33,53 @@ class Mention:
     gold: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MentionDocument:
     doc_id: str
     text: str
     mentions: list[Mention]
 
+    @cached_property
+    def tokens(self) -> TokenStream:
+        """The text's tokens with byte offsets, computed on first use."""
+        return tokenize(self.text)
+
     @staticmethod
     def from_record(record: dict) -> "MentionDocument":
         """Build a document from one parsed record, deriving mention surfaces.
 
-        Mentions are sorted by (start, end, id); offsets must address valid
-        UTF-8 slices of the text, and mention ids must be unique in the
-        document.
+        Mentions are sorted by (start, end, id); offsets must be integers
+        that address valid UTF-8 slices of the text, and mention ids must be
+        unique in the document. No value is coerced: ids and text must be
+        strings, and a gold label a string or null.
         """
         if not isinstance(record, dict):
             raise DocumentError("a document record must be a JSON object")
         try:
-            doc_id = str(record["doc_id"])
-            text = str(record["text"])
-            raw_mentions = record["mentions"]
+            doc_id, text, raw_mentions = record["doc_id"], record["text"], record["mentions"]
         except KeyError as exc:
             raise DocumentError(f"document record missing field {exc}") from None
+        if not isinstance(doc_id, str) or not isinstance(text, str):
+            raise DocumentError("a document's 'doc_id' and 'text' must be strings")
         if not isinstance(raw_mentions, list):
             raise DocumentError(f"doc {doc_id!r}: 'mentions' must be a list")
-        encoded = text.encode("utf-8")
+        try:
+            encoded = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DocumentError(f"doc {doc_id!r}: text has no UTF-8 encoding ({exc})") from None
         mentions = []
         seen: set[str] = set()
         for m in raw_mentions:
             try:
-                mid, start, end = str(m["id"]), int(m["start"]), int(m["end"])
-            except (KeyError, TypeError, ValueError):
+                mid, start, end, gold = m["id"], m["start"], m["end"], m.get("gold")
+            except (KeyError, TypeError):
                 raise DocumentError(f"doc {doc_id!r}: mentions need 'id', 'start', 'end'") from None
+            if not isinstance(mid, str):
+                raise DocumentError(f"doc {doc_id!r}: mention id {mid!r} is not a string")
+            if type(start) is not int or type(end) is not int:  # a bool is not an offset
+                raise DocumentError(f"doc {doc_id!r}, mention {mid!r}: 'start' and 'end' must be integers")
+            if gold is not None and not isinstance(gold, str):
+                raise DocumentError(f"doc {doc_id!r}, mention {mid!r}: 'gold' must be a string or null")
             if mid in seen:
                 raise DocumentError(f"doc {doc_id!r}: duplicate mention id {mid!r}")
             seen.add(mid)
@@ -65,8 +89,7 @@ class MentionDocument:
                 surface = encoded[start:end].decode("utf-8")
             except UnicodeDecodeError:
                 raise DocumentError(f"doc {doc_id!r}, mention {mid!r}: span splits a UTF-8 sequence") from None
-            gold = m.get("gold")
-            mentions.append(Mention(mid, surface, start, end, None if gold is None else str(gold)))
+            mentions.append(Mention(mid, surface, start, end, gold))
         mentions.sort(key=lambda m: (m.start, m.end, m.id))
         return MentionDocument(doc_id, text, mentions)
 
@@ -74,67 +97,37 @@ class MentionDocument:
 @dataclass
 class ConnectedComponent:
     id: str
-    mentions: list[Mention]  # document order
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    mentions: list[Mention]  # a contiguous run of the document's mentions
 
 
 def connected_components(doc: MentionDocument, gap: int = 4) -> list[ConnectedComponent]:
     """Group mentions whose pairwise token distance is <= gap, transitively.
 
     Distance counts tokens strictly between the end of the earlier mention and
-    the start of the later one; overlapping spans are 0 apart.
+    the start of the later one; overlapping spans are 0 apart. One pass over
+    the mentions in start order finds the components: a mention joins the
+    open component when it is within `gap` of that component's furthest end,
+    since the distance only shrinks as the earlier end grows; and it cannot
+    join an earlier component, since the distance only grows as the later
+    start grows. Each component is therefore a contiguous run of
+    `doc.mentions`.
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
-    mentions = doc.mentions
-    if not mentions:
-        return []
-    tokens = tokenize(doc.text)
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
-
-    def distance(a: Mention, b: Mention) -> int:
-        if b.start <= a.end:
-            return 0
-        lo = bisect_left(starts, a.end)
-        hi = bisect_right(ends, b.start)
-        return max(0, hi - lo)
-
-    uf = _UnionFind(len(mentions))
-    for i in range(len(mentions)):
-        for j in range(i + 1, len(mentions)):
-            d = distance(mentions[i], mentions[j])
-            if d <= gap:
-                uf.union(i, j)
-            else:
-                # mentions are sorted by start, so distance from i only grows
-                break
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(mentions)):
-        groups.setdefault(uf.find(i), []).append(i)
-    components = []
-    for n, root in enumerate(sorted(groups, key=lambda r: min(groups[r]))):
-        members = [mentions[i] for i in sorted(groups[root])]
-        components.append(ConnectedComponent(id=f"{doc.doc_id}/c{n}", mentions=members))
-    return components
+    tokens = doc.tokens
+    runs: list[list[Mention]] = []
+    reach = 0  # furthest end in the open run
+    for m in doc.mentions:
+        # Tokens that end by m.start, less those that start before `reach`:
+        # the tokens in between if there are any, else at most 0.
+        between = bisect_right(tokens, m.start, key=_END) - bisect_left(tokens, reach, key=_START)
+        if runs and between <= gap:
+            runs[-1].append(m)
+            reach = max(reach, m.end)
+        else:
+            runs.append([m])
+            reach = m.end
+    return [ConnectedComponent(id=f"{doc.doc_id}/c{n}", mentions=run) for n, run in enumerate(runs)]
 
 
 def candidate_lists(
@@ -156,10 +149,11 @@ def load_documents(path: str) -> list[MentionDocument]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                doc = MentionDocument.from_record(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise DocumentError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            doc = MentionDocument.from_record(record)
+            except DocumentError as exc:
+                raise DocumentError(f"{path}:{lineno}: {exc}") from None
             if doc.doc_id in seen:
                 raise DocumentError(f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r}")
             seen.add(doc.doc_id)

@@ -152,7 +152,7 @@ def _check_decode_brute_force(seed: int) -> None:
 def closure_oracle(doc, gap: int) -> set[frozenset[str]]:
     """Connected components as sets of mention ids, by brute force: O(n^2)
     pairwise token distances followed by repeated-pass transitive closure,
-    independent of the union-find in `connected_components`."""
+    independent of the one-pass sweep in `connected_components`."""
     tokens = tokenize(doc.text)
     mentions = doc.mentions
     n = len(mentions)
@@ -179,10 +179,11 @@ def closure_oracle(doc, gap: int) -> set[frozenset[str]]:
 
 def _check_components(seed: int) -> None:
     rng = random.Random(seed)
-    for i in range(10):
-        doc = fixtures.random_mention_document(rng, f"rand-{i}", max_mentions=20)
-        got = {frozenset(m.id for m in comp.mentions) for comp in connected_components(doc, gap=4)}
-        assert got == closure_oracle(doc, 4), f"component mismatch on doc rand-{i}"
+    for i in range(100):
+        doc = fixtures.random_mention_document(rng, f"rand-{i}", max_words=40, max_mentions=20)
+        gap = rng.randint(0, 6)
+        got = {frozenset(m.id for m in comp.mentions) for comp in connected_components(doc, gap)}
+        assert got == closure_oracle(doc, gap), f"component mismatch on doc rand-{i}, gap {gap}"
 
 
 def _check_index_determinism(seed: int) -> None:

@@ -322,10 +322,27 @@ class TestCorruptArtifacts:
         assert any("format version" in r.getMessage() for r in caplog.records)
 
 
+def _doc(mention=None, **fields):
+    """A one-mention document record, with fields or mention keys overridden."""
+    return {"doc_id": "d", "text": "Home Depot", "mentions": [{"id": "m1", "start": 0, "end": 4, **(mention or {})}],
+            **fields}
+
+
 _BAD_DOCUMENTS = {
     "array": [1, 2],
     "string": "hello",
     "mentions-not-a-list": {"doc_id": "d", "text": "Home Depot", "mentions": 5},
+    "mention-not-an-object": _doc(mentions=["m1"]),
+    "doc-id-null": _doc(doc_id=None),
+    "doc-id-number": _doc(doc_id=7),
+    "text-number": _doc(text=12345),
+    "mention-id-number": _doc({"id": 1}),
+    "start-float": _doc({"start": 0.9, "end": 5.7}),
+    "end-float": _doc({"end": 4.0}),
+    "start-bool": _doc({"start": True}),
+    "end-string": _doc({"end": "3"}),
+    "gold-number": _doc({"gold": 5}),
+    "gold-list": _doc({"gold": ["HOME_DEPOT"]}),
 }
 _BAD_PREDICTIONS = {
     "array": [1, 2],
@@ -333,6 +350,10 @@ _BAD_PREDICTIONS = {
     "no-doc-id": {"mention_id": "m1", "prediction": "NIL"},
     "no-mention-id": {"doc_id": "doc-home-depot", "prediction": "NIL"},
     "no-prediction": {"doc_id": "doc-home-depot", "mention_id": "m1"},
+    "prediction-null": {"doc_id": "doc-home-depot", "mention_id": "m1", "prediction": None},
+    "prediction-number": {"doc_id": "doc-home-depot", "mention_id": "m1", "prediction": 3},
+    "nil-cluster-number": {"doc_id": "doc-home-depot", "mention_id": "m1", "prediction": "NIL", "nil_cluster": 1},
+    "nil-cluster-null": {"doc_id": "doc-home-depot", "mention_id": "m1", "prediction": "NIL", "nil_cluster": None},
 }
 
 
@@ -357,8 +378,7 @@ class TestMalformedRecords:
             "eval-pred": ["eval", "--metric", "b3plus", "--pred", bad, "--gold", docs],
         }[command]
         assert run(argv) == 1
-        if command == "eval-pred":
-            assert any(f"{bad}:1:" in r.getMessage() for r in caplog.records)
+        assert any(r.getMessage().startswith(f"{bad}:1: ") for r in caplog.records)
 
     @pytest.mark.parametrize(
         "record",
@@ -371,6 +391,15 @@ class TestMalformedRecords:
             pytest.param({"id": "A", "title": "A", "text": "a", "links": 5}, id="links-number"),
             pytest.param({"id": "NIL7", "title": "A", "text": "a"}, id="nil-cluster-id-NIL7"),
             pytest.param({"id": "NIL0001", "title": "A", "text": "a"}, id="nil-cluster-id-NIL0001"),
+            pytest.param({"id": "A", "title": None, "text": "a"}, id="title-null"),
+            pytest.param({"id": "A", "title": "A", "text": 12345}, id="text-number"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "categories": ["Cat", 5]}, id="category-number"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "redirects": [None]}, id="redirect-null"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "links": ["B"]}, id="link-string"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "links": [{"anchor": 1, "target": "B"}]},
+                         id="anchor-number"),
+            pytest.param({"id": "A", "title": "A", "text": "a", "links": [{"anchor": "b", "target": None}]},
+                         id="target-null"),
         ],
     )
     def test_build_index_exits_1(self, tmp_path, caplog, record):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     random_model,
 )
 
+from entlink import text_vsm
 from entlink.config import PipelineConfig
 from entlink.features import ComponentChain, FeatureExtractor, PmiTable, default_registry
 from entlink.fixtures import home_depot_document, synthetic_corpus, toy_documents, toy_index
@@ -371,6 +373,27 @@ class TestTraining:
         first = train(train_docs, index, PipelineConfig(max_candidates=5))
         second = train(train_docs, index, PipelineConfig(max_candidates=5))
         assert np.array_equal(first.model.weights, second.model.weights)
+
+
+def test_each_document_is_tokenized_once(monkeypatch):
+    """Components and features read one tokenization of a document's text,
+    in training and in decoding."""
+    original = text_vsm.tokenize
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "entlink" and getattr(module, "tokenize", None) is original:
+            monkeypatch.setattr(module, "tokenize", counting)
+    index = toy_index()
+    model = train([home_depot_document()], index).model
+    assert calls == ["Home Depot CEO Nardelli quits"]
+    calls.clear()
+    decode(model, home_depot_document(), index)
+    assert calls == ["Home Depot CEO Nardelli quits"]
 
 
 class TestModelSerialization:

@@ -114,11 +114,32 @@ class TestConnectedComponents:
             assert len(set(seen)) == len(seen)
 
     def test_matches_closure_oracle_random(self):
+        """Spans of 1-4 words, nested ones and ones cut inside a word, at
+        every gap from 0 to 6; each component is a contiguous run of the
+        sorted mentions."""
         rng = random.Random(23)
-        for i in range(25):
-            doc = random_mention_document(rng, f"doc{i}", max_mentions=12)
-            got = {frozenset(m.id for m in c.mentions) for c in connected_components(doc, gap=4)}
-            assert got == closure_oracle(doc, 4)
+        for i in range(400):
+            doc = random_mention_document(rng, f"doc{i}", max_words=40, max_mentions=12)
+            gap = rng.randint(0, 6)
+            components = connected_components(doc, gap)
+            assert {frozenset(m.id for m in c.mentions) for c in components} == closure_oracle(doc, gap)
+            assert [m for c in components for m in c.mentions] == doc.mentions
+
+    def test_nested_span_keeps_the_furthest_end(self):
+        """`after` is next to `long` but 5 tokens past `inner`, the mention
+        with the latest start before it."""
+        record = {
+            "doc_id": "d",
+            "text": "a b c d e f g h i j k l",
+            "mentions": [
+                {"id": "long", "start": 0, "end": 13},
+                {"id": "inner", "start": 2, "end": 3},
+                {"id": "after", "start": 14, "end": 15},
+            ],
+        }
+        doc = MentionDocument.from_record(record)
+        assert [[m.id for m in c.mentions] for c in connected_components(doc, gap=0)] == [["long", "inner", "after"]]
+        assert closure_oracle(doc, 0) == {frozenset({"long", "inner", "after"})}
 
 
 class TestEnumerateTuples:
