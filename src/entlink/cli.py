@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .config import BLACKLIST_THRESHOLD, MAX_ITER, TOL, PipelineConfig
 from .evaluator import EvalError, b3plus_f1, bot_f1
-from .features import FeatureExtractor
 from .kb_store import NIL, AnchorIndex, FormatVersionError, KbError, build_index, is_nil_label, load_kb_jsonl
 from .maxent import (
     Model,
@@ -143,13 +142,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     log.info("config: %s jobs=%d", model.config.to_dict(), args.jobs)
     index = AnchorIndex.load(args.index)
     docs = load_documents(args.input)
-    extractor = FeatureExtractor(
-        index,
-        model.pmi,
-        model.registry,
-        window=model.config.context_window,
-        top_n=model.config.top_n,
-    )
+    extractor = model.extractor(index)
 
     def link_one(doc):
         return decode(model, doc, index, extractor=extractor)

@@ -26,7 +26,7 @@ from .features import (
     train_pmi,
 )
 from .kb_store import NIL, AnchorIndex, Candidate, FormatVersionError, is_nil_label, normalize_name
-from .segmenter import MentionDocument, candidate_lists, connected_components
+from .segmenter import ConnectedComponent, MentionDocument, connected_components
 
 MODEL_FORMAT_VERSION = 4
 # Scores within NEAR_TIE * max(1, |best|) of the best are ties. Assignments
@@ -55,6 +55,11 @@ class Model:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
         self.config.validate()
+
+    def extractor(self, index: AnchorIndex) -> FeatureExtractor:
+        """The feature extractor that decodes with this model over `index`."""
+        config = self.config
+        return FeatureExtractor(index, self.pmi, self.registry, window=config.context_window, top_n=config.top_n)
 
     def save(self, path: str) -> None:
         payload = {
@@ -298,6 +303,14 @@ class BuildStats:
     injected_gold: int = 0
 
 
+def _gold_labels(component: ConnectedComponent) -> list[str] | None:
+    """The labels a component trains on, a NIL cluster label (`NIL0001`)
+    read as NIL; None if a mention is unlabeled, as then it does not train."""
+    if any(m.gold is None for m in component.mentions):
+        return None
+    return [NIL if is_nil_label(m.gold) else m.gold for m in component.mentions]
+
+
 def build_training_instances(
     docs: Iterable[MentionDocument],
     index: AnchorIndex,
@@ -306,11 +319,10 @@ def build_training_instances(
 ) -> tuple[list[TrainingInstance], BuildStats]:
     """Turn gold-labeled documents into per-component training instances.
 
-    Components containing any unlabeled mention are skipped (and counted).
-    A NIL cluster label (`NIL0001`) trains as NIL. When retrieval misses a
-    mention's gold entity, the gold candidate is injected into that mention's
-    list so the gold assignment is one of the chain's assignments; injections
-    are counted in the stats.
+    Components that do not train (see `_gold_labels`) are skipped and
+    counted. When retrieval misses a mention's gold entity, the gold
+    candidate is injected into that mention's list so the gold assignment is
+    one of the chain's assignments; injections are counted in the stats.
     """
     instances: list[TrainingInstance] = []
     stats = BuildStats()
@@ -318,24 +330,23 @@ def build_training_instances(
         view = extractor.document_view(doc)
         for component in connected_components(doc, config.gap):
             stats.components += 1
-            if any(m.gold is None for m in component.mentions):
+            golds = _gold_labels(component)
+            if golds is None:
                 stats.skipped_unlabeled += 1
                 continue
-            lists = candidate_lists(component, index, config.max_candidates)
+            lists, gold_choice = [], []
             injected = False
-            gold_choice = []
-            for i, mention in enumerate(component.mentions):
-                gold = NIL if is_nil_label(mention.gold) else mention.gold
-                ids = [c.entity_id for c in lists[i]]
+            for mention, gold in zip(component.mentions, golds):
+                candidates = index.fast_search(mention.surface, config.max_candidates)
+                ids = [c.entity_id for c in candidates]
                 if gold not in ids:
                     # keep NIL last so list order stays prior-ranked
-                    prior = index.link_prior(mention.surface, gold)
-                    lists[i] = lists[i][:-1] + [Candidate(gold, prior), lists[i][-1]]
-                    ids = [c.entity_id for c in lists[i]]
+                    candidates.insert(-1, Candidate(gold, index.link_prior(mention.surface, gold)))
+                    ids.insert(-1, gold)
                     injected = True
+                lists.append(candidates)
                 gold_choice.append(ids.index(gold))
-            if injected:
-                stats.injected_gold += 1
+            stats.injected_gold += injected
             chain = extractor.component_chain(component, lists, view)
             instances.append(TrainingInstance(ChainStates(chain), chain.assignment_features(gold_choice)))
     return instances, stats
@@ -365,11 +376,9 @@ def train(
     config = config if config is not None else PipelineConfig()
     config.validate()
     docs = list(docs)
-    gold_sequences = []
-    for doc in docs:
-        for component in connected_components(doc, config.gap):
-            if all(m.gold is not None for m in component.mentions):
-                gold_sequences.append([m.gold for m in component.mentions])
+    # A sweep of its own: category_pmi, a pair feature, reads the table in every chain.
+    components = [c for doc in docs for c in connected_components(doc, config.gap)]
+    gold_sequences = [golds for golds in map(_gold_labels, components) if golds is not None]
     pmi = train_pmi(gold_sequences, index, blacklist_threshold)
     registry = default_registry()
     extractor = FeatureExtractor(index, pmi, registry, window=config.context_window, top_n=config.top_n)
@@ -402,24 +411,25 @@ def decode(
     highest-scoring joint assignment over up to `max_candidates` candidates
     per mention wins, with ties going to the smallest id sequence. The
     reported score is that assignment's probability within its component
-    (the same for all its mentions), not a per-mention confidence. Without
-    an `extractor`, decode builds one for the model.
+    (the same for all its mentions), not a per-mention confidence. Reuse
+    one `Model.extractor(index)` across documents; without an `extractor`,
+    decode builds a fresh one, and one built otherwise raises ValueError.
     """
     if extractor is None:
-        extractor = FeatureExtractor(
-            index,
-            model.pmi,
-            model.registry,
-            window=model.config.context_window,
-            top_n=model.config.top_n,
-        )
-    if extractor.registry != model.registry:
-        raise ValueError("extractor registry does not match the model registry")
+        extractor = model.extractor(index)
+    elif not (
+        extractor.index is index
+        and extractor.pmi == model.pmi
+        and extractor.registry == model.registry
+        and extractor.window == model.config.context_window
+        and extractor.top_n == model.config.top_n
+    ):
+        raise ValueError("the extractor was not built for this model and index; use Model.extractor(index)")
 
     view = extractor.document_view(doc)
     predictions = []  # components are contiguous runs of doc.mentions, in order
     for component in connected_components(doc, model.config.gap):
-        lists = candidate_lists(component, index, model.config.max_candidates)
+        lists = [index.fast_search(m.surface, model.config.max_candidates) for m in component.mentions]
         states = ChainStates(extractor.component_chain(component, lists, view))
         choice, score = states.decode(model.weights, [[c.entity_id for c in lst] for lst in lists])
         for mention, lst, j in zip(component.mentions, lists, choice):

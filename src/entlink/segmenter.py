@@ -1,5 +1,4 @@
-"""Partition document mentions into connected components and retrieve each
-mention's candidate list.
+"""Mention documents and their partition into connected components.
 
 A document tokenizes its text once, on first use, and both the components
 and the features read those tokens. The components come from one pass over
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .kb_store import AnchorIndex, Candidate
+from .config import PipelineConfig
 from .text_vsm import TokenStream, tokenize
 
 _START, _END = attrgetter("start"), attrgetter("end")
@@ -100,7 +99,7 @@ class ConnectedComponent:
     mentions: list[Mention]  # a contiguous run of the document's mentions
 
 
-def connected_components(doc: MentionDocument, gap: int = 4) -> list[ConnectedComponent]:
+def connected_components(doc: MentionDocument, gap: int = PipelineConfig.gap) -> list[ConnectedComponent]:
     """Group mentions whose pairwise token distance is <= gap, transitively.
 
     Distance counts tokens strictly between the end of the earlier mention and
@@ -128,14 +127,6 @@ def connected_components(doc: MentionDocument, gap: int = 4) -> list[ConnectedCo
             runs.append([m])
             reach = m.end
     return [ConnectedComponent(id=f"{doc.doc_id}/c{n}", mentions=run) for n, run in enumerate(runs)]
-
-
-def candidate_lists(
-    component: ConnectedComponent, index: AnchorIndex, k: int
-) -> list[list[Candidate]]:
-    """Per-mention lists of the top-k KB candidates, each with NIL appended;
-    `fast_search` rejects k < 1."""
-    return [index.fast_search(m.surface, k) for m in component.mentions]
 
 
 def load_documents(path: str) -> list[MentionDocument]:

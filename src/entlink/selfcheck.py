@@ -19,7 +19,7 @@ from .config import PipelineConfig
 from .features import FeatureExtractor, default_registry, train_pmi
 from .kb_store import build_index
 from .maxent import NEAR_TIE, Model, build_training_instances, cll_objective, decode
-from .segmenter import candidate_lists, connected_components
+from .segmenter import connected_components
 from .text_vsm import cosine, tokenize
 
 
@@ -49,7 +49,7 @@ def fd_gradient(weights: np.ndarray, instances, sigma: float, h: float = 1e-5) -
 def enumerate_tuples(component, index, k: int) -> list[tuple]:
     """Every joint assignment (a tuple of Candidates) over the per-mention
     candidate lists, in lexicographic order of list positions."""
-    return list(itertools.product(*candidate_lists(component, index, k)))
+    return list(itertools.product(*(index.fast_search(m.surface, k) for m in component.mentions)))
 
 
 def oracle_features(extractor, component, assignments, view) -> np.ndarray:

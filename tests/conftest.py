@@ -1,4 +1,4 @@
-"""Shared fixture generators and oracles for randomized tests. The
+"""Shared fixture generators and oracles for tests. The
 brute-force oracles of the program live in `entlink.selfcheck` and are
 re-exported here."""
 
@@ -12,6 +12,7 @@ from entlink.features import ComponentChain, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans
 from entlink.kb_store import KbEntry, build_index
 from entlink.maxent import ChainStates, Model, TrainingInstance
+from entlink.segmenter import MentionDocument
 from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     closure_oracle,
     enumerate_tuples,
@@ -130,6 +131,82 @@ def random_model(rng: random.Random, scale: float = 1.0) -> Model:
         pmi=PmiTable(),
         config=PipelineConfig(max_candidates=5),
     )
+
+
+# -- synthetic corpus ----------------------------------------------------------------
+
+
+def synthetic_kb(n_entities: int = 10, words_per_entity: int = 10) -> list[KbEntry]:
+    """Entities in ambiguous surface pairs with disjoint page vocabularies.
+
+    Surface ``name<p>`` can refer to entities 2p and 2p+1; a hub page links
+    the surface three times to the even entity and twice to the odd one, so
+    the link prior alone favors the even member of every pair.
+    """
+    entries = []
+    hub_links = []
+    for i in range(n_entities):
+        pair = i // 2
+        surface = f"name{pair}"
+        vocab = [f"w{i}x{j}" for j in range(words_per_entity)]
+        text = f"{surface} stands for entity {i} . " + " ".join(vocab * 3)
+        entries.append(
+            KbEntry(
+                id=f"E{i}",
+                title=f"Name{pair} ({i})",
+                text=text,
+                categories=frozenset({f"Group {i % 3}"}),
+                outlinks=(),
+                redirects=frozenset({f"name{pair} number {i}"}),
+            )
+        )
+        weight = 3 if i % 2 == 0 else 2
+        hub_links.extend([(surface, f"E{i}")] * weight)
+    entries.append(
+        KbEntry(
+            id="HUB",
+            title="Disambiguation hub",
+            text="This page lists surface forms and their referents .",
+            categories=frozenset(),
+            outlinks=tuple(hub_links),
+            redirects=frozenset(),
+        )
+    )
+    return entries
+
+
+def synthetic_corpus(
+    rng: random.Random,
+    n_entities: int = 10,
+    n_train: int = 50,
+    n_test: int = 20,
+    words_per_entity: int = 10,
+    context_words: int = 8,
+    nil_fraction: float = 0.1,
+) -> tuple[list[KbEntry], list[MentionDocument], list[MentionDocument]]:
+    """KB plus labeled train/test documents whose mention contexts share most
+    of their vocabulary with the gold entity's page."""
+    entries = synthetic_kb(n_entities, words_per_entity)
+
+    def make_doc(doc_id: str, serial: int) -> MentionDocument:
+        if rng.random() < nil_fraction:
+            pair = rng.randrange(n_entities // 2)
+            surface = f"name{pair}"
+            words = [f"noise{serial}x{j}" for j in range(context_words)]
+            gold = "NIL"
+        else:
+            entity = rng.randrange(n_entities)
+            pair = entity // 2
+            surface = f"name{pair}"
+            vocab = [f"w{entity}x{j}" for j in range(words_per_entity)]
+            words = rng.sample(vocab, context_words)
+            gold = f"E{entity}"
+        text = f"{surface} reported " + " ".join(words)
+        return doc_from_spans(doc_id, text, [("m0", surface, gold)])
+
+    train_docs = [make_doc(f"train-{i}", i) for i in range(n_train)]
+    test_docs = [make_doc(f"test-{i}", n_train + i) for i in range(n_test)]
+    return entries, train_docs, test_docs
 
 
 # -- random components and chains ---------------------------------------------------

@@ -17,6 +17,7 @@ from conftest import (
     random_linking_doc,
     random_linking_kb,
     random_model,
+    synthetic_corpus,
 )
 
 from entlink.config import PipelineConfig
@@ -25,7 +26,6 @@ from entlink.features import FeatureExtractor, PmiTable, default_registry
 from entlink.fixtures import (
     home_depot_document,
     random_mention_document,
-    synthetic_corpus,
     toy_documents,
     toy_kb_entries,
 )
@@ -39,7 +39,7 @@ from entlink.maxent import (
     fit_weights,
     train,
 )
-from entlink.segmenter import MentionDocument, candidate_lists, connected_components
+from entlink.segmenter import MentionDocument, connected_components
 
 
 @contextmanager
@@ -78,7 +78,7 @@ def test_02_softmax_normalization_on_random_components():
             view = extractor.document_view(doc)
             for component in connected_components(doc, model.config.gap):
                 # every assignment's exp(score - log Z), log Z from the chain
-                lists = candidate_lists(component, index, 5)
+                lists = [index.fast_search(m.surface, 5) for m in component.mentions]
                 states = ChainStates(extractor.component_chain(component, lists, view))
                 log_z, _ = states.log_z_and_expectation(model.weights)
                 assignments = enumerate_tuples(component, index, 5)
@@ -107,7 +107,7 @@ def test_03_decode_equals_brute_force_enumeration():
                 expected = {}
                 for component in connected_components(doc, model.config.gap):
                     assignments = enumerate_tuples(component, index, 5)
-                    assert all(len(c) <= 5 for c in candidate_lists(component, index, 5))
+                    assert all(len(index.fast_search(m.surface, 5)) <= 5 for m in component.mentions)
                     matrix = oracle_features(extractor, component, assignments, view)
                     scores = [sum(float(w) * float(f) for w, f in zip(model.weights, fvec)) for fvec in matrix]
                     best_ids = oracle_argmax(assignments, scores)

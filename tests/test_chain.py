@@ -21,7 +21,7 @@ from entlink.config import PipelineConfig
 from entlink.features import FeatureExtractor, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans, toy_index
 from entlink.maxent import Model, build_training_instances, cll_objective, decode, train
-from entlink.segmenter import candidate_lists, connected_components
+from entlink.segmenter import connected_components
 
 K = 3
 CONFIG = PipelineConfig(max_candidates=K)
@@ -122,7 +122,7 @@ def test_thirty_adjacent_mentions_decode_and_train_fast():
     spans = [(f"m{i}", "Nardelli", golds[i % 3]) for i in range(30)]
     doc = doc_from_spans("nardelli", " ".join(["Nardelli"] * 30), spans)
     (component,) = connected_components(doc, CONFIG.gap)
-    assert [len(lst) for lst in candidate_lists(component, index, K)] == [3] * 30
+    assert [len(index.fast_search(m.surface, K)) for m in component.mentions] == [3] * 30
 
     started = time.perf_counter()
     result = train([doc], index, CONFIG)

@@ -13,14 +13,16 @@ import zlib
 from pathlib import Path
 
 import pytest
+from conftest import synthetic_corpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entlink.cli import build_parser, run
-from entlink.config import BLACKLIST_THRESHOLD, MAX_ITER, TOL
+from entlink.config import BLACKLIST_THRESHOLD, MAX_ITER, TOL, PipelineConfig
 from entlink.features import train_pmi
-from entlink.fixtures import synthetic_corpus, toy_documents, toy_kb_entries
+from entlink.fixtures import toy_documents, toy_kb_entries
 from entlink.maxent import fit_weights, read_predictions, train
+from entlink.segmenter import connected_components
 
 
 def write_jsonl(path, records):
@@ -464,17 +466,24 @@ def test_readme_defaults_match_parser():
         assert action.type(table[flag]) == action.default, flag
 
 
-def test_training_defaults_have_one_definition():
-    """The `train` parser, `maxent.train`, `maxent.fit_weights` and
-    `features.train_pmi` all default to the constants in `entlink.config`."""
+def test_defaults_have_one_definition():
+    """The `train` parser, `maxent.train`, `maxent.fit_weights`,
+    `features.train_pmi` and `segmenter.connected_components` all default to
+    the definitions in `entlink.config`."""
     (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     parser = {a.dest: a.default for a in subparsers.choices["train"]._actions}
     library = {
         "blacklist_threshold": [train_pmi, train],
         "tol": [train, fit_weights],
         "max_iter": [train, fit_weights],
+        "gap": [connected_components],
     }
-    constants = {"blacklist_threshold": BLACKLIST_THRESHOLD, "tol": TOL, "max_iter": MAX_ITER}
+    constants = {
+        "blacklist_threshold": BLACKLIST_THRESHOLD,
+        "tol": TOL,
+        "max_iter": MAX_ITER,
+        "gap": PipelineConfig.gap,
+    }
     for name, functions in library.items():
         assert parser[name] == constants[name], name
         for fn in functions:

@@ -357,8 +357,6 @@ class TestValueRanges:
     def test_random_fixtures_stay_in_bounds(self):
         from conftest import enumerate_tuples, oracle_features, random_linking_doc, random_linking_kb
 
-        from entlink.segmenter import candidate_lists
-
         rng = random.Random(99)
         registry = default_registry()
         cos_idx = [registry.index(n) for n in registry.names if n.startswith("cos_")]
@@ -376,7 +374,8 @@ class TestValueRanges:
             doc = random_linking_doc(rng, f"doc{i}")
             view = extractor.document_view(doc)
             for component in connected_components(doc, gap=4):
-                chain = extractor.component_chain(component, candidate_lists(component, index, 5), view)
+                lists = [index.fast_search(m.surface, 5) for m in component.mentions]
+                chain = extractor.component_chain(component, lists, view)
                 assignments = enumerate_tuples(component, index, 5)
                 expected = oracle_features(extractor, component, assignments, view)
                 for combo, choice, want in zip(assignments, np.ndindex(*chain.sizes), expected):

@@ -17,12 +17,13 @@ from conftest import (
     random_linking_doc,
     random_linking_kb,
     random_model,
+    synthetic_corpus,
 )
 
 from entlink import text_vsm
 from entlink.config import PipelineConfig
-from entlink.features import ComponentChain, FeatureExtractor, PmiTable, default_registry
-from entlink.fixtures import home_depot_document, synthetic_corpus, toy_documents, toy_index
+from entlink.features import ComponentChain, FeatureExtractor, FeatureRegistry, PmiTable, default_registry
+from entlink.fixtures import home_depot_document, toy_documents, toy_index
 from entlink.kb_store import NIL, Candidate, FormatVersionError, build_index
 from entlink.maxent import (
     MODEL_FORMAT_VERSION,
@@ -248,14 +249,23 @@ class TestDecode:
         (prediction,) = decode(model, doc, index)
         assert prediction.entity_id == "LI_NA_TENNIS"
 
-    def test_registry_mismatch_rejected(self):
+    @pytest.mark.parametrize("setting", ["index", "pmi", "registry", "window", "top_n"])
+    def test_mismatched_extractor_rejected(self, setting):
         index = toy_index()
         registry = default_registry()
-        model = Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig())
-        other = FeatureExtractor(index, PmiTable(), default_registry())
-        other.registry = None  # simulate a registry mismatch
-        with pytest.raises(ValueError):
-            decode(model, home_depot_document(), index, extractor=other)
+        config = PipelineConfig()
+        model = Model(np.zeros(len(registry)), registry, PmiTable({("A", "B"): 1.0}), config)
+        args = dict(index=index, pmi=model.pmi, registry=registry, window=config.context_window, top_n=config.top_n)
+        decode(model, home_depot_document(), index, extractor=FeatureExtractor(**args))
+        args[setting] = {
+            "index": toy_index(),
+            "pmi": PmiTable({("A", "C"): 1.0}),
+            "registry": FeatureRegistry(registry.names[::-1]),
+            "window": 2,
+            "top_n": 50,
+        }[setting]
+        with pytest.raises(ValueError, match="Model.extractor"):
+            decode(model, home_depot_document(), index, extractor=FeatureExtractor(**args))
 
 
 class TestNilCluster:
