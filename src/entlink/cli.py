@@ -83,7 +83,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     index.save(args.out)
     log.info(
         "indexed %d entries, %d anchors, %d redirect names (%d dangling links)",
-        index.entry_count,
+        len(index.entries),
         len(index.postings),
         len(index.redirect_map),
         index.dangling_links,

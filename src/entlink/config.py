@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .kb_store import FormatVersionError
@@ -24,8 +25,8 @@ class PipelineConfig:
     top_n: int = 200             # size of the top-terms page vector
 
     def validate(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
         if self.gap < 0:

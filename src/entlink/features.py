@@ -232,12 +232,13 @@ class _EntityData:
 
 class MentionTerms(NamedTuple):
     """Tokens of a mention's surface and of its context window, with their
-    term-frequency vectors."""
+    term-frequency vectors, and the normalized surface."""
 
     text_seq: tuple[str, ...]
     ctx_seq: tuple[str, ...]
     text_vec: TermVector
     ctx_vec: TermVector
+    surface_key: str
 
 
 class DocumentView:
@@ -254,7 +255,9 @@ class DocumentView:
             text_seq = words(mention.surface)
             ctx_tokens = context_window(self.doc.tokens, mention.start, self._extractor.window)
             ctx_seq = tuple(t.text for t in ctx_tokens)
-            terms = MentionTerms(text_seq, ctx_seq, term_freq(text_seq), term_freq(ctx_seq))
+            terms = MentionTerms(
+                text_seq, ctx_seq, term_freq(text_seq), term_freq(ctx_seq), normalize_name(mention.surface)
+            )
             self._mentions[mention.id] = terms
         return terms
 
@@ -294,14 +297,14 @@ class FeatureExtractor:
 
     # -- entity-side caches ---------------------------------------------------
 
-    def _page_context(self, data: _EntityData, surface: str) -> TermVector:
+    def _page_context(self, data: _EntityData, terms: MentionTerms) -> TermVector:
         """Window around the first occurrence of the surface in the page text,
         falling back to the leading window of the page."""
-        key = normalize_name(surface)
+        key = terms.surface_key
         vec = data.ctx_vecs.get(key)
         if vec is None:
             page = data.words
-            first = next(contiguous_matches(words(surface), page), None)
+            first = next(contiguous_matches(terms.text_seq, page), None)
             if first is None:
                 vec = term_freq(page[: self.window])
             else:
@@ -335,7 +338,7 @@ class FeatureExtractor:
         if eid in self.index.entries:  # never NIL: build_index rejects that id
             terms = view.mention(mention)
             data = self._data(eid)
-            ctx_e = self._page_context(data, mention.surface)
+            ctx_e = self._page_context(data, terms)
             vec[idx["cos_text_text"]] = cosine(data.text_vec, terms.text_vec)
             vec[idx["cos_text_ctx"]] = cosine(data.text_vec, terms.ctx_vec)
             vec[idx["cos_ctx_text"]] = cosine(ctx_e, terms.text_vec)
@@ -350,7 +353,7 @@ class FeatureExtractor:
                     total = sum(count_contiguous(seq, tokens) for seq in sequences)
                     vec[idx[f"{relation}_freq_{side}"]] = float(total)
 
-            surface_key = normalize_name(mention.surface)
+            surface_key = terms.surface_key
             vec[idx["match_all_title"]] = 1.0 if surface_key == data.norm_title else 0.0
             vec[idx["exact_match_redirect"]] = 1.0 if surface_key in data.norm_redirects else 0.0
             is_acronym = (

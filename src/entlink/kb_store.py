@@ -31,7 +31,7 @@ def is_nil_label(label: str) -> bool:
 
 
 _INDEX_MAGIC = b"ELIX"
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 
 class KbError(ValueError):
@@ -139,25 +139,16 @@ class AnchorIndex:
     redirect_map: dict[str, str]
     outlink_counts: dict[str, dict[str, int]]  # page id -> resolved target id -> link count
     dangling_links: int = 0
-    _token_to_anchors: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _anchor_tokens: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
+    _token_to_anchors: dict[str, list[str]] = field(init=False, repr=False)
+    _anchor_tokens: dict[str, frozenset[str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._token_to_anchors:
-            self._build_token_map()
-
-    def _build_token_map(self) -> None:
+        self._anchor_tokens = {anchor: frozenset(words(anchor)) for anchor in sorted(self.postings)}
         by_token: dict[str, list[str]] = defaultdict(list)
-        for anchor in sorted(self.postings):
-            toks = frozenset(words(anchor))
-            self._anchor_tokens[anchor] = toks
+        for anchor, toks in self._anchor_tokens.items():
             for tok in toks:
                 by_token[tok].append(anchor)
         self._token_to_anchors = dict(by_token)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
 
     def titles(self, entity_ids: Iterable[str]) -> list[str]:
         """Titles for the given ids, skipping ids without a KB entry."""
@@ -234,19 +225,25 @@ class AnchorIndex:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize to a versioned binary blob.
+        """Serialize to a versioned binary blob: the header, then one zlib
+        stream of the canonical KB record lines in id order.
 
-        Only the entries are stored; all derived structures are rebuilt on
-        load, so equal KBs serialize to byte-identical blobs.
+        Each line is compressed as it is made. Derived structures are rebuilt
+        on load, so equal KBs serialize to byte-identical blobs.
         """
-        payload = {"entries": {eid: entry.to_record() for eid, entry in sorted(self.entries.items())}}
-        data = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        return _INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(data.encode("utf-8"), 6)
+        packer = zlib.compressobj(6)
+        blob = bytearray(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION))
+        for eid in sorted(self.entries):
+            record = self.entries[eid].to_record()
+            line = json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+            blob += packer.compress(line.encode("utf-8"))
+        blob += packer.flush()
+        return bytes(blob)
 
     @staticmethod
     def from_bytes(blob: bytes) -> "AnchorIndex":
-        """Rebuild an index from `to_bytes` output; a corrupt or incompatible
-        blob raises FormatVersionError (or KbError for invalid records)."""
+        """Rebuild an index from `to_bytes` output. A corrupt or incompatible
+        blob raises FormatVersionError, an invalid record KbError naming its line."""
         if blob[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
             raise FormatVersionError("not an anchor-index file")
         try:
@@ -255,19 +252,11 @@ class AnchorIndex:
                 raise FormatVersionError(
                     f"index format version {version}, expected {INDEX_FORMAT_VERSION}"
                 )
-            payload = json.loads(zlib.decompress(blob[len(_INDEX_MAGIC) + 4:]).decode("utf-8"))
-            records = [KbEntry.from_record({"id": eid, **rec}) for eid, rec in payload["entries"].items()]
-            return build_index(records)
-        except (
-            zlib.error,
-            struct.error,
-            UnicodeDecodeError,
-            json.JSONDecodeError,
-            KeyError,
-            TypeError,
-            AttributeError,
-        ) as exc:
+            # "\n", not splitlines(): U+2028 and U+0085 stay raw inside records.
+            lines = zlib.decompress(blob[len(_INDEX_MAGIC) + 4:]).decode("utf-8").split("\n")
+        except (zlib.error, struct.error, UnicodeDecodeError) as exc:
             raise FormatVersionError(f"corrupt anchor-index file ({type(exc).__name__}: {exc})") from None
+        return build_index(_read_entries(lines, "anchor-index body"))
 
     def save(self, path: str) -> None:
         # Serialized before the file is opened: a failure leaves it as it was.
@@ -343,18 +332,23 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     )
 
 
+def _read_entries(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
+    """KB entries from JSON lines, skipping blank ones; a bad line raises
+    KbError prefixed with `source` and its line number."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entry = KbEntry.from_record(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise KbError(f"{source}:{lineno}: invalid JSON ({exc})") from None
+        except KbError as exc:
+            raise KbError(f"{source}:{lineno}: {exc}") from None
+        yield entry
+
+
 def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
     """Stream KB entries from a line-delimited JSON file."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                entry = KbEntry.from_record(record)
-            except json.JSONDecodeError as exc:
-                raise KbError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            except KbError as exc:
-                raise KbError(f"{path}:{lineno}: {exc}") from None
-            yield entry
+        yield from _read_entries(fh, path)

@@ -11,6 +11,7 @@ be read concurrently; decoding different documents in parallel is safe.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -375,6 +376,12 @@ def train(
     """
     config = config if config is not None else PipelineConfig()
     config.validate()
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not 0 <= blacklist_threshold <= 1:
+        raise ValueError("blacklist_threshold must be between 0 and 1")
     docs = list(docs)
     # A sweep of its own: category_pmi, a pair feature, reads the table in every chain.
     components = [c for doc in docs for c in connected_components(doc, config.gap)]
@@ -450,17 +457,9 @@ def nil_cluster(predictions: Iterable[Prediction]) -> list[Prediction]:
     they are stable across runs on the same predictions.
     """
     predictions = list(predictions)
-    surfaces = sorted(
-        {normalize_name(p.surface) for p in predictions if p.entity_id == NIL}
-    )
-    cluster_of = {surface: f"NIL{i:04d}" for i, surface in enumerate(surfaces)}
-    out = []
-    for p in predictions:
-        if p.entity_id == NIL:
-            out.append(p._replace(nil_cluster=cluster_of[normalize_name(p.surface)]))
-        else:
-            out.append(p)
-    return out
+    keys = {i: normalize_name(p.surface) for i, p in enumerate(predictions) if p.entity_id == NIL}
+    cluster_of = {surface: f"NIL{i:04d}" for i, surface in enumerate(sorted(set(keys.values())))}
+    return [p._replace(nil_cluster=cluster_of[keys[i]]) if i in keys else p for i, p in enumerate(predictions)]
 
 
 def write_predictions(predictions: Iterable[Prediction], path: str) -> None:

@@ -21,7 +21,8 @@ from entlink.cli import build_parser, run
 from entlink.config import BLACKLIST_THRESHOLD, MAX_ITER, TOL, PipelineConfig
 from entlink.features import train_pmi
 from entlink.fixtures import toy_documents, toy_kb_entries
-from entlink.maxent import fit_weights, read_predictions, train
+from entlink.kb_store import INDEX_FORMAT_VERSION
+from entlink.maxent import MODEL_FORMAT_VERSION, fit_weights, read_predictions, train
 from entlink.segmenter import connected_components
 
 
@@ -171,6 +172,34 @@ class TestErrors:
         assert code != 0
         assert any("sigma must be positive" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--max-iter", "0"), ("--max-iter", "-1"), ("--tol", "nan"), ("--tol", "-1"),
+         ("--blacklist-threshold", "nan"), ("--blacklist-threshold", "-2"), ("--sigma", "nan")],
+    )
+    def test_bad_training_setting_exits_1(self, toy_artifacts, tmp_path, flag, value):
+        """An out-of-range training setting stops `train` before it fits or
+        writes a model."""
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        out = tmp_path / "m.json"
+        code = run(["train", "--kb-index", str(tmp_path / "toy.idx"), "--train", str(tmp_path / "docs.jsonl"),
+                    "--out", str(out), f"{flag}={value}"])
+        assert code == 1
+        assert not out.exists()
+
+    def test_model_with_nan_sigma_exits_1(self, toy_artifacts, tmp_path, caplog):
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        payload = json.loads(toy_artifacts["model.json"])
+        payload["config"]["sigma"] = float("nan")
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(tmp_path / "toy.idx"),
+                    "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert any("sigma must be positive and finite" in r.getMessage() for r in caplog.records)
+        assert not (tmp_path / "preds.jsonl").exists()
+
     def test_eval_mismatched_doc_ids(self, toy_paths, tmp_path):
         _, kb_path, docs_path = toy_paths
         preds = [{"doc_id": "other-doc", "mention_id": "m1", "prediction": "X", "score": 1.0}]
@@ -294,21 +323,24 @@ class TestCorruptArtifacts:
         "target,version",
         [
             pytest.param("toy.idx", 1, id="toy.idx"),
+            pytest.param("toy.idx", 2, id="toy.idx-format2"),
             pytest.param("model.json", 2, id="model.json"),
             pytest.param("model.json", 3, id="model.json-format3"),
         ],
     )
     def test_previous_format_exits_1(self, toy_artifacts, tmp_path, caplog, target, version):
-        """A format-1 index (with max_candidates), a format-2 model (with
-        sigma beside the config) or a format-3 model (with PMI category
-        counts and blacklist) is rejected, not read."""
+        """A format-1 index (with max_candidates), a format-2 index (records
+        in one JSON object keyed by id), a format-2 model (with sigma beside
+        the config) or a format-3 model (with PMI category counts and
+        blacklist) is rejected, not read."""
         for name, blob in toy_artifacts.items():
             (tmp_path / name).write_bytes(blob)
         if target == "toy.idx":
-            blob = toy_artifacts["toy.idx"]
-            payload = json.loads(zlib.decompress(blob[8:]))
-            payload["max_candidates"] = 40
-            old = blob[:4] + struct.pack("<I", 1) + zlib.compress(json.dumps(payload).encode())
+            payload = {"entries": {e.id: e.to_record() for e in toy_kb_entries()}}
+            if version == 1:
+                payload["max_candidates"] = 40
+            data = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+            old = b"ELIX" + struct.pack("<I", version) + zlib.compress(data.encode("utf-8"), 6)
         else:
             payload = json.loads(toy_artifacts["model.json"])
             payload["format_version"] = version
@@ -464,6 +496,15 @@ def test_readme_defaults_match_parser():
     assert set(table) == set(defaults)
     for flag, action in defaults.items():
         assert action.type(table[flag]) == action.default, flag
+
+
+def test_readme_names_current_formats():
+    """The README "File formats" paragraph names the index and model format
+    versions this code writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    assert f"index format {INDEX_FORMAT_VERSION}" in section
+    assert f"model format {MODEL_FORMAT_VERSION}" in section
 
 
 def test_defaults_have_one_definition():

@@ -1,17 +1,22 @@
 """Anchor-title index construction, retrieval and serialization tests."""
 
+import json
 import random
+import struct
+import zlib
 
 import pytest
 
 from entlink.fixtures import toy_index, toy_kb_entries
 from entlink.kb_store import (
+    INDEX_FORMAT_VERSION,
     NIL,
     AnchorIndex,
     FormatVersionError,
     KbEntry,
     KbError,
     build_index,
+    load_kb_jsonl,
     normalize_name,
 )
 
@@ -33,6 +38,30 @@ def titanic_entries():
         KbEntry(id="SHIP", title="RMS Titanic", text="The ocean liner that sank in 1912 ."),
         KbEntry(id="FILM", title="Titanic (1997 film)", text="A 1997 romance film ."),
     ]
+
+
+def unusual_entries():
+    """Texts holding characters that `str.splitlines` breaks at (U+2028,
+    U+2029, U+0085), CJK and combining marks; the last two entries have
+    empty categories, links and redirects."""
+    return [
+        KbEntry(
+            id="LINES",
+            title="Line\u2028Separator",
+            text="before\u2028after\u0085next\u2029end",
+            categories=frozenset({"Cat\u0085egory"}),
+            outlinks=(("\u6771\u4eac\u2028", "TOKYO"), ("Se\u0301ance", "SEANCE")),
+            redirects=frozenset({"Line\u2029Sep"}),
+        ),
+        KbEntry(id="TOKYO", title="\u6771\u4eac\u90fd", text="\u6771\u4eac\u306f\u65e5\u672c\u306e\u9996\u90fd"),
+        KbEntry(id="SEANCE", title="Se\u0301ance", text=""),
+    ]
+
+
+def index_blob(lines):
+    """An index file whose body is the given record lines."""
+    body = "".join(line + "\n" for line in lines).encode("utf-8")
+    return b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6)
 
 
 class TestNormalizeName:
@@ -58,7 +87,7 @@ class TestBuildIndex:
     def test_empty_kb(self):
         index = build_index([])
         assert index.postings == {}
-        assert index.entry_count == 0
+        assert len(index.entries) == 0
 
     def test_redirect_map(self):
         entry = KbEntry(
@@ -230,6 +259,41 @@ class TestSerialization:
             shuffled = list(entries)
             rng.shuffle(shuffled)
             assert build_index(shuffled).to_bytes() == reference
+
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
+    def test_round_trip_keeps_every_record(self, entries):
+        index = build_index(entries())
+        assert AnchorIndex.from_bytes(index.to_bytes()).entries == index.entries
+
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
+    def test_body_is_a_kb_file(self, entries, tmp_path):
+        """The decompressed body is the canonical KB record lines in id
+        order, and `build-index` reads it back to the same index file."""
+        blob = build_index(entries()).to_bytes()
+        body = zlib.decompress(blob[8:])
+        records = sorted((e.to_record() for e in entries()), key=lambda r: r["id"])
+        assert body.decode("utf-8").split("\n")[:-1] == [
+            json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for r in records
+        ]
+        path = tmp_path / "body.jsonl"
+        path.write_bytes(body)
+        assert build_index(load_kb_jsonl(str(path))).to_bytes() == blob
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ('{"id": "X", "title": "X"', "invalid JSON"),
+            ('{"id": "X", "text": ""}', "missing field 'title'"),
+            ('{"id": "X", "title": 5, "text": ""}', "must be strings"),
+            ("[1, 2]", "must be a JSON object"),
+        ],
+        ids=["truncated", "no-title", "title-number", "array"],
+    )
+    def test_invalid_record_names_its_line(self, bad, message):
+        lines = [json.dumps(e.to_record()) for e in titanic_entries()]
+        lines[1] = bad
+        with pytest.raises(KbError, match=f"anchor-index body:2: .*{message}"):
+            AnchorIndex.from_bytes(index_blob(lines))
 
     def test_version_mismatch(self):
         blob = bytearray(toy_index().to_bytes())
