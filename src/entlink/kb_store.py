@@ -8,12 +8,15 @@ single-writer.
 
 from __future__ import annotations
 
+import codecs
 import json
+import os
 import re
 import struct
 import unicodedata
 import zlib
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -32,6 +35,10 @@ def is_nil_label(label: str) -> bool:
 
 _INDEX_MAGIC = b"ELIX"
 INDEX_FORMAT_VERSION = 3
+_ZLIB_HEADER = b"\x78\x9c"  # deflate, 32 KiB window, default level
+_WINDOW = 1 << 15  # deflate's history: each block is primed with this much body
+_BLOCK_SIZE = 1 << 20  # body bytes per deflate task
+_CHUNK_SIZE = 1 << 18  # compressed bytes read, and at most as many inflated, per step
 
 
 class KbError(ValueError):
@@ -228,35 +235,62 @@ class AnchorIndex:
         """Serialize to a versioned binary blob: the header, then one zlib
         stream of the canonical KB record lines in id order.
 
-        Each line is compressed as it is made. Derived structures are rebuilt
-        on load, so equal KBs serialize to byte-identical blobs.
+        The body is cut into fixed `_BLOCK_SIZE` blocks at byte offsets, and
+        the blocks are deflated on a thread pool as the lines are made, a few
+        blocks in flight at a time. Each block is primed with the 32 KiB of
+        body before it and ends on a byte boundary, so the blocks join into
+        one ordinary zlib stream whatever the number of workers. Derived
+        structures are rebuilt on load, so equal KBs serialize to
+        byte-identical blobs.
         """
-        packer = zlib.compressobj(6)
-        blob = bytearray(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION))
-        for eid in sorted(self.entries):
-            record = self.entries[eid].to_record()
-            line = json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
-            blob += packer.compress(line.encode("utf-8"))
-        blob += packer.flush()
+        lines = (
+            (json.dumps(self.entries[eid].to_record(), sort_keys=True, ensure_ascii=False,
+                        separators=(",", ":")) + "\n").encode("utf-8")
+            for eid in sorted(self.entries)
+        )
+        blob = bytearray(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + _ZLIB_HEADER)
+        checksum = zlib.adler32(b"")
+        workers = os.cpu_count() or 1
+        in_flight: deque[Future[bytes]] = deque()
+        with ThreadPoolExecutor(workers) as pool:
+            for primer, block, mode in _blocks(lines):
+                checksum = zlib.adler32(block, checksum)
+                in_flight.append(pool.submit(_deflate_block, primer, block, mode))
+                if len(in_flight) > workers:
+                    blob += in_flight.popleft().result()
+            while in_flight:
+                blob += in_flight.popleft().result()
+        blob += struct.pack(">I", checksum)
         return bytes(blob)
 
     @staticmethod
     def from_bytes(blob: bytes) -> "AnchorIndex":
-        """Rebuild an index from `to_bytes` output. A corrupt or incompatible
-        blob raises FormatVersionError, an invalid record KbError naming its line."""
+        """Rebuild an index from `to_bytes` output, or from any blob of the
+        same format, however its zlib stream was deflated.
+
+        The body is inflated a chunk at a time and its lines go to the record
+        reader as they come, so it is never held whole. A corrupt stream
+        (damaged, truncated, or followed by more bytes) or an incompatible
+        blob raises FormatVersionError, an invalid record KbError naming its
+        line.
+        """
         if blob[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
             raise FormatVersionError("not an anchor-index file")
         try:
             (version,) = struct.unpack_from("<I", blob, len(_INDEX_MAGIC))
-            if version != INDEX_FORMAT_VERSION:
-                raise FormatVersionError(
-                    f"index format version {version}, expected {INDEX_FORMAT_VERSION}"
-                )
-            # "\n", not splitlines(): U+2028 and U+0085 stay raw inside records.
-            lines = zlib.decompress(blob[len(_INDEX_MAGIC) + 4:]).decode("utf-8").split("\n")
-        except (zlib.error, struct.error, UnicodeDecodeError) as exc:
-            raise FormatVersionError(f"corrupt anchor-index file ({type(exc).__name__}: {exc})") from None
-        return build_index(_read_entries(lines, "anchor-index body"))
+        except struct.error as exc:
+            raise FormatVersionError(f"corrupt anchor-index file ({exc})") from None
+        if version != INDEX_FORMAT_VERSION:
+            raise FormatVersionError(f"index format version {version}, expected {INDEX_FORMAT_VERSION}")
+        lines = _body_lines(memoryview(blob)[len(_INDEX_MAGIC) + 4:])
+        try:
+            return build_index(_read_entries(lines, "anchor-index body"))
+        except KbError:
+            # A damaged stream can inflate to a bad record before its checksum
+            # is read: finish the stream, so that damage is reported as such.
+            for _ in lines:
+                pass
+            raise
 
     def save(self, path: str) -> None:
         # Serialized before the file is opened: a failure leaves it as it was.
@@ -266,8 +300,14 @@ class AnchorIndex:
 
     @staticmethod
     def load(path: str) -> "AnchorIndex":
+        """Read a saved index; its errors are those of `from_bytes`, prefixed
+        with the path."""
         with open(path, "rb") as fh:
-            return AnchorIndex.from_bytes(fh.read())
+            blob = fh.read()
+        try:
+            return AnchorIndex.from_bytes(blob)
+        except (KbError, FormatVersionError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
@@ -330,6 +370,67 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
         outlink_counts={eid: dict(c) for eid, c in outlink_counts.items()},
         dangling_links=dangling,
     )
+
+
+def _blocks(lines: Iterable[bytes]) -> Iterator[tuple[bytearray, bytearray, int]]:
+    """Cut the body the lines make into `_BLOCK_SIZE` blocks, each with the
+    up to `_WINDOW` bytes of body before it and the flush that ends it: a
+    sync flush, or for the last block (shorter, or empty) the finish."""
+    buf = bytearray()  # the primer of the next block, then the body after it
+    primed = 0
+    for line in lines:
+        buf += line
+        while len(buf) - primed > _BLOCK_SIZE:
+            end = primed + _BLOCK_SIZE
+            yield buf[:primed], buf[primed:end], zlib.Z_SYNC_FLUSH
+            cut = max(0, end - _WINDOW)
+            del buf[:cut]
+            primed = end - cut
+    yield buf[:primed], buf[primed:], zlib.Z_FINISH
+
+
+def _deflate_block(primer: bytes, block: bytes, mode: int) -> bytes:
+    """One block as raw deflate data, ended by `mode`. It runs on a worker
+    thread and calls zlib, which releases the interpreter lock, and nothing
+    else."""
+    packer = zlib.compressobj(6, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, primer)
+    return packer.compress(block) + packer.flush(mode)
+
+
+def _inflate(body: memoryview) -> Iterator[bytes]:
+    """Inflate one zlib stream a chunk at a time. A damaged or truncated
+    stream, or bytes after its end, raise zlib.error once reached."""
+    unpacker = zlib.decompressobj()
+    read = 0
+    while read < len(body) and not unpacker.eof:
+        data = body[read:read + _CHUNK_SIZE]
+        read += len(data)
+        while data and not unpacker.eof:
+            yield unpacker.decompress(data, _CHUNK_SIZE)
+            data = unpacker.unconsumed_tail
+    if not unpacker.eof:
+        raise zlib.error("the stream is truncated")
+    if unpacker.unused_data or read < len(body):
+        raise zlib.error("bytes follow the end of the stream")
+
+
+def _body_lines(body: memoryview) -> Iterator[str]:
+    """The lines of a zlib stream of UTF-8 text, inflated and split as it goes;
+    a corrupt stream raises FormatVersionError once reached."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    partial: list[str] = []  # the pieces of a line that spans chunks
+    try:
+        for chunk in _inflate(body):
+            # "\n", not splitlines(): U+2028 and U+0085 stay raw inside records.
+            *lines, tail = decoder.decode(chunk).split("\n")
+            if lines:
+                lines[0] = "".join(partial) + lines[0]
+                partial.clear()
+                yield from lines
+            partial.append(tail)
+        yield "".join(partial) + decoder.decode(b"", final=True)
+    except (zlib.error, UnicodeDecodeError) as exc:
+        raise FormatVersionError(f"corrupt anchor-index file ({type(exc).__name__}: {exc})") from None
 
 
 def _read_entries(lines: Iterable[str], source: str) -> Iterator[KbEntry]:

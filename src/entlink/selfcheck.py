@@ -10,7 +10,9 @@ test suite imports these same ones.
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import zlib
 
 import numpy as np
 
@@ -194,6 +196,12 @@ def _check_index_determinism(seed: int) -> None:
     blob_a = build_index(entries).to_bytes()
     blob_b = build_index(shuffled).to_bytes()
     assert blob_a == blob_b, "serialized index depends on record order"
+    # zlib's one-shot inflater, not the index reader, is the oracle of the body.
+    lines = [
+        json.dumps(e.to_record(), sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+        for e in sorted(entries, key=lambda e: e.id)
+    ]
+    assert zlib.decompress(blob_a[8:]) == "".join(lines).encode("utf-8"), "index body is not the record lines"
     index = build_index(entries)
     for anchor, plist in index.postings.items():
         total = sum(c for _, c in plist)

@@ -23,6 +23,25 @@ from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
 )
 from entlink.text_vsm import _CJK_RANGES, Token
 
+# -- damaged index files --------------------------------------------------------------
+
+
+def _invert_a_late_byte(blob: bytes) -> bytes:
+    """The blob with its byte three quarters in inverted: in a later block,
+    when the body spans several."""
+    at = len(blob) * 3 // 4
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
+# Ways to damage an index blob, each of which its reader must reject.
+DAMAGE = {
+    "truncated": lambda blob: blob[: len(blob) * 2 // 3],
+    "checksum-cut": lambda blob: blob[:-4],
+    "flipped": _invert_a_late_byte,
+    "appended": lambda blob: blob + b"\0",
+}
+
+
 # -- per-character reference tokenizer ------------------------------------------------
 
 

@@ -13,15 +13,16 @@ import zlib
 from pathlib import Path
 
 import pytest
-from conftest import synthetic_corpus
+from conftest import DAMAGE, synthetic_corpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from entlink import kb_store
 from entlink.cli import build_parser, run
 from entlink.config import BLACKLIST_THRESHOLD, MAX_ITER, TOL, PipelineConfig
 from entlink.features import train_pmi
 from entlink.fixtures import toy_documents, toy_kb_entries
-from entlink.kb_store import INDEX_FORMAT_VERSION
+from entlink.kb_store import INDEX_FORMAT_VERSION, build_index
 from entlink.maxent import MODEL_FORMAT_VERSION, fit_weights, read_predictions, train
 from entlink.segmenter import connected_components
 
@@ -319,6 +320,40 @@ class TestCorruptArtifacts:
                     "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
 
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_damaged_index_exits_1(self, toy_artifacts, tmp_path, caplog, monkeypatch, damage):
+        """A damaged stream, a flipped byte in a later block included, exits
+        1 with a diagnostic that names the file."""
+        monkeypatch.setattr(kb_store, "_BLOCK_SIZE", 64)
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        index = tmp_path / "toy.idx"
+        index.write_bytes(DAMAGE[damage](build_index(toy_kb_entries()).to_bytes()))
+        code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(index),
+                    "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert any(r.getMessage().startswith(f"{index}: corrupt anchor-index file") for r in caplog.records)
+
+    def test_bad_index_record_names_the_file(self, toy_artifacts, tmp_path):
+        """`entlink link` reports a bad record inside an index with the
+        index's path and the record's line, and no traceback."""
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        lines = [json.dumps(e.to_record()) for e in toy_kb_entries()]
+        lines[1] = '{"id": "X", "text": ""}'
+        body = "".join(line + "\n" for line in lines).encode("utf-8")
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "entlink.cli", "link", "--model", str(tmp_path / "model.json"),
+             "--index", str(bad), "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert f"{bad}: anchor-index body:2: KB record missing field 'title'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "target,version",
         [
@@ -586,6 +621,19 @@ class TestSelfcheck:
         monkeypatch.setattr(entlink.selfcheck, "cll_objective", scaled)
         assert entlink.selfcheck.run_selfcheck(0) >= 1
         assert "selfcheck gradient-finite-difference: FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_catches_a_final_block_mid_stream(self, monkeypatch, capsys):
+        from entlink.selfcheck import run_selfcheck
+
+        deflate_block = kb_store._deflate_block
+
+        def finish_every_block(primer, block, mode):
+            return deflate_block(primer, block, zlib.Z_FINISH)
+
+        monkeypatch.setattr(kb_store, "_BLOCK_SIZE", 256)
+        monkeypatch.setattr(kb_store, "_deflate_block", finish_every_block)
+        assert run_selfcheck(0) >= 1
+        assert "selfcheck index-determinism: FAILED" in capsys.readouterr().out
 
 
 class TestDeterminism:

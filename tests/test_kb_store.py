@@ -6,7 +6,9 @@ import struct
 import zlib
 
 import pytest
+from conftest import DAMAGE
 
+from entlink import kb_store
 from entlink.fixtures import toy_index, toy_kb_entries
 from entlink.kb_store import (
     INDEX_FORMAT_VERSION,
@@ -58,8 +60,19 @@ def unusual_entries():
     ]
 
 
+def empty_entries():
+    return []
+
+
+def canonical_lines(entries):
+    """The canonical record lines of the entries, in id order."""
+    records = sorted((e.to_record() for e in entries), key=lambda r: r["id"])
+    return [json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for r in records]
+
+
 def index_blob(lines):
-    """An index file whose body is the given record lines."""
+    """An index file whose body is the given record lines, deflated in one
+    serial `zlib.compress` pass."""
     body = "".join(line + "\n" for line in lines).encode("utf-8")
     return b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6)
 
@@ -260,21 +273,20 @@ class TestSerialization:
             rng.shuffle(shuffled)
             assert build_index(shuffled).to_bytes() == reference
 
-    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries, empty_entries],
+                             ids=["toy", "unusual", "empty"])
     def test_round_trip_keeps_every_record(self, entries):
         index = build_index(entries())
         assert AnchorIndex.from_bytes(index.to_bytes()).entries == index.entries
 
-    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries, empty_entries],
+                             ids=["toy", "unusual", "empty"])
     def test_body_is_a_kb_file(self, entries, tmp_path):
         """The decompressed body is the canonical KB record lines in id
         order, and `build-index` reads it back to the same index file."""
         blob = build_index(entries()).to_bytes()
         body = zlib.decompress(blob[8:])
-        records = sorted((e.to_record() for e in entries()), key=lambda r: r["id"])
-        assert body.decode("utf-8").split("\n")[:-1] == [
-            json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for r in records
-        ]
+        assert body.decode("utf-8").split("\n")[:-1] == canonical_lines(entries())
         path = tmp_path / "body.jsonl"
         path.write_bytes(body)
         assert build_index(load_kb_jsonl(str(path))).to_bytes() == blob
@@ -295,6 +307,12 @@ class TestSerialization:
         with pytest.raises(KbError, match=f"anchor-index body:2: .*{message}"):
             AnchorIndex.from_bytes(index_blob(lines))
 
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_damaged_stream_is_rejected(self, damage):
+        blob = index_blob(canonical_lines(toy_kb_entries()))
+        with pytest.raises(FormatVersionError, match="corrupt anchor-index file"):
+            AnchorIndex.from_bytes(DAMAGE[damage](blob))
+
     def test_version_mismatch(self):
         blob = bytearray(toy_index().to_bytes())
         blob[4] = 99  # corrupt the little-endian version field
@@ -304,3 +322,60 @@ class TestSerialization:
     def test_not_an_index_file(self):
         with pytest.raises(FormatVersionError):
             AnchorIndex.from_bytes(b"garbage bytes")
+
+
+@pytest.fixture(params=[(2, 1), (5, 3), (13, 7)], ids=lambda p: f"block{p[0]}-chunk{p[1]}")
+def small_blocks(request, monkeypatch):
+    """Deflate blocks and inflate chunks of a few bytes, so a small KB spans
+    many of each. Two-byte blocks and one-byte chunks cut every character of
+    three or more UTF-8 bytes (U+2028 among them) at a block boundary and
+    every multi-byte character at a chunk boundary. Returns the block size."""
+    block, chunk = request.param
+    monkeypatch.setattr(kb_store, "_BLOCK_SIZE", block)
+    monkeypatch.setattr(kb_store, "_CHUNK_SIZE", chunk)
+    return block
+
+
+class TestBlocks:
+    """The block-parallel deflate and the streamed inflate, at sizes small
+    enough that the toy KBs cross every kind of boundary."""
+
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries, empty_entries],
+                             ids=["toy", "unusual", "empty"])
+    def test_body_inflates_to_the_canonical_lines(self, entries, small_blocks):
+        blob = build_index(entries()).to_bytes()
+        body = zlib.decompress(blob[8:])
+        assert body == "".join(line + "\n" for line in canonical_lines(entries())).encode("utf-8")
+        if body:
+            assert len(body) > 10 * small_blocks
+        assert AnchorIndex.from_bytes(blob).entries == build_index(entries()).entries
+
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
+    def test_blob_depends_on_neither_workers_nor_record_order(self, entries, small_blocks, monkeypatch):
+        reference = build_index(entries()).to_bytes()
+        rng = random.Random(11)
+        for workers in (None, 1, 2, 5):
+            monkeypatch.setattr(kb_store.os, "cpu_count", lambda: workers)
+            shuffled = entries()
+            rng.shuffle(shuffled)
+            assert build_index(shuffled).to_bytes() == reference
+
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
+    def test_serial_stream_loads(self, entries, small_blocks):
+        """A body deflated in one serial pass, as earlier builds wrote it,
+        reads back chunk by chunk to the same records."""
+        blob = index_blob(canonical_lines(entries()))
+        assert AnchorIndex.from_bytes(blob).entries == build_index(entries()).entries
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_damaged_stream_is_rejected(self, damage, small_blocks):
+        blob = build_index(toy_kb_entries()).to_bytes()
+        with pytest.raises(FormatVersionError, match="corrupt anchor-index file"):
+            AnchorIndex.from_bytes(DAMAGE[damage](blob))
+
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"\xe2\x80"], ids=["invalid-byte", "cut-character"])
+    def test_body_that_is_not_utf8_is_rejected(self, tail, small_blocks):
+        body = "".join(line + "\n" for line in canonical_lines(toy_kb_entries())).encode("utf-8") + tail
+        blob = b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6)
+        with pytest.raises(FormatVersionError, match="UnicodeDecodeError"):
+            AnchorIndex.from_bytes(blob)
