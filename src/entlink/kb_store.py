@@ -3,13 +3,16 @@
 The index maps each distinct link anchor string to the entities it points at,
 with occurrence counts aggregated over the whole KB. A built index is
 immutable and safe to share between concurrent readers; construction is
-single-writer.
+single-writer. Building one, which loading one does too, pauses the
+process-wide cyclic garbage collector and restores its state afterwards.
 """
 
 from __future__ import annotations
 
 import codecs
+import gc
 import json
+import math
 import os
 import re
 import struct
@@ -101,7 +104,7 @@ class KbEntry:
         if not isinstance(links, list):
             raise KbError(f"entry {eid!r}: 'links' must be a list")
         try:
-            outlinks = tuple((link["anchor"], link["target"]) for link in links)
+            outlinks = tuple([(link["anchor"], link["target"]) for link in links])
         except (KeyError, TypeError):
             raise KbError(f"entry {eid!r}: links need 'anchor' and 'target'") from None
         if not all(isinstance(a, str) and isinstance(t, str) for a, t in outlinks):
@@ -317,7 +320,30 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     A target that resolves nowhere counts toward the dangling counter and is
     dropped from inlink/outlink derivation, but its anchor occurrence is kept
     in the postings under the raw target id.
+
+    The process-wide cyclic collector is paused while the records are read
+    (they may be parsed as they stream in) and aggregated, and its state is
+    restored on return or error: everything built here lives on, so the
+    collector's passes would free nothing. If the collector was enabled and
+    the build left at least its full-collection interval of new container
+    objects (the product of `gc.get_threshold()`), one full collection runs
+    before returning, so the next caller does not inherit the pending passes.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = gc.get_count()[0]
+        index = _aggregate(kb_records)
+        if enabled and 0 < math.prod(gc.get_threshold()) <= gc.get_count()[0] - start:
+            gc.collect()
+        return index
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
+    """`build_index` itself, which runs it with the collector paused."""
     entries: dict[str, KbEntry] = {}
     for record in kb_records:
         if not record.id or is_nil_label(record.id):
@@ -339,11 +365,12 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
             if key and key not in redirect_map:
                 redirect_map[key] = eid
 
-    anchor_counts: dict[str, Counter[str]] = defaultdict(Counter)
-    outlink_counts: dict[str, Counter[str]] = {eid: Counter() for eid in entries}
-    inlinks: dict[str, set[str]] = defaultdict(set)
+    anchor_counts: dict[str, dict[str, int]] = {}
+    outlink_counts: dict[str, dict[str, int]] = {}
+    inlinks: dict[str, set[str]] = {}
     dangling = 0
     for eid in sorted(entries):
+        counts = outlink_counts[eid] = {}
         for anchor, target in entries[eid].outlinks:
             if target in entries:
                 resolved = target
@@ -351,12 +378,19 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
                 resolved = redirect_map.get(normalize_name(target))
             akey = normalize_name(anchor)
             if akey:
-                anchor_counts[akey][resolved if resolved is not None else target] += 1
+                per_entity = anchor_counts.get(akey)
+                if per_entity is None:
+                    per_entity = anchor_counts[akey] = {}
+                key = target if resolved is None else resolved
+                per_entity[key] = per_entity.get(key, 0) + 1
             if resolved is None:
                 dangling += 1
                 continue
-            outlink_counts[eid][resolved] += 1
-            inlinks[resolved].add(eid)
+            counts[resolved] = counts.get(resolved, 0) + 1
+            sources = inlinks.get(resolved)
+            if sources is None:
+                sources = inlinks[resolved] = set()
+            sources.add(eid)
 
     postings = {
         anchor: sorted(counts.items(), key=lambda ec: (-ec[1], ec[0]))
@@ -367,7 +401,7 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
         postings=postings,
         inlinks={eid: frozenset(src) for eid, src in inlinks.items()},
         redirect_map=redirect_map,
-        outlink_counts={eid: dict(c) for eid, c in outlink_counts.items()},
+        outlink_counts=outlink_counts,
         dangling_links=dangling,
     )
 
@@ -442,7 +476,7 @@ def _read_entries(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
             continue
         try:
             entry = KbEntry.from_record(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise KbError(f"{source}:{lineno}: invalid JSON ({exc})") from None
         except KbError as exc:
             raise KbError(f"{source}:{lineno}: {exc}") from None

@@ -78,7 +78,8 @@ class Model:
     @staticmethod
     def load(path: str) -> "Model":
         """Read a saved model; a corrupt or incompatible file raises
-        FormatVersionError (or ValueError for out-of-range values)."""
+        FormatVersionError (or ValueError for out-of-range values), prefixed
+        with the path."""
         with open(path, "rb") as fh:
             blob = fh.read()
         try:
@@ -95,8 +96,10 @@ class Model:
                 pmi=PmiTable.from_payload(payload["pmi"]),
                 config=PipelineConfig.from_dict(payload["config"]),
             )
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError, AttributeError) as exc:
             raise FormatVersionError(f"{path}: not a valid model file ({type(exc).__name__}: {exc})") from None
+        except (FormatVersionError, ValueError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,7 +493,7 @@ def read_predictions(path: str) -> list[dict]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             if not (
                 isinstance(record, dict)

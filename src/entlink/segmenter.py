@@ -141,7 +141,7 @@ def load_documents(path: str) -> list[MentionDocument]:
                 continue
             try:
                 doc = MentionDocument.from_record(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise DocumentError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             except DocumentError as exc:
                 raise DocumentError(f"{path}:{lineno}: {exc}") from None

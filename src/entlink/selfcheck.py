@@ -3,8 +3,8 @@
 Each check recomputes its expected answer with an independent method (hand
 values, finite differences, brute-force closure) rather than trusting the
 code path it exercises. The brute-force oracles (finite-difference gradient,
-joint-assignment enumeration and scoring, component closure) are public: the
-test suite imports these same ones.
+joint-assignment enumeration and scoring, component closure, index
+derivation) are public: the test suite imports these same ones.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import fixtures
 from .config import PipelineConfig
 from .features import FeatureExtractor, default_registry, train_pmi
-from .kb_store import build_index
+from .kb_store import build_index, normalize_name
 from .maxent import NEAR_TIE, Model, build_training_instances, cll_objective, decode
 from .segmenter import connected_components
 from .text_vsm import cosine, tokenize
@@ -95,6 +95,39 @@ def oracle_argmax(assignments, scores) -> tuple[str, ...]:
 def oracle_log_z(scores) -> float:
     top = max(scores)
     return top + float(np.log(np.sum(np.exp(np.asarray(scores) - top))))
+
+
+def index_oracle(entries) -> dict:
+    """Everything `build_index` derives from KB entries with unique ids, by
+    brute force: the redirect map by the smallest (titles before redirects,
+    id) claim on each name, then a flat list of (source id, normalized
+    anchor, resolved-or-raw target, resolved?) links, scanned once per
+    derived key. Returns the `AnchorIndex` field values by field name."""
+    by_id = {e.id: e for e in entries}
+    claims = [(0, e.id, normalize_name(e.title)) for e in entries]
+    claims += [(1, e.id, normalize_name(alias)) for e in entries for alias in e.redirects]
+    names = {key for _, _, key in claims if key}
+    redirect_map = {key: min((rank, eid) for rank, eid, k in claims if k == key)[1] for key in names}
+    links = []
+    for e in entries:
+        for anchor, target in e.outlinks:
+            resolved = target if target in by_id else redirect_map.get(normalize_name(target))
+            ok = resolved is not None
+            links.append((e.id, normalize_name(anchor), resolved if ok else target, ok))
+    postings = {}
+    for akey in {a for _, a, _, _ in links if a}:
+        targets = [t for _, a, t, _ in links if a == akey]
+        postings[akey] = sorted(((t, targets.count(t)) for t in set(targets)), key=lambda tc: (-tc[1], tc[0]))
+    resolved_links = [(src, t) for src, _, t, ok in links if ok]
+    return {
+        "postings": postings,
+        "inlinks": {t: frozenset(src for src, u in resolved_links if u == t) for _, t in resolved_links},
+        "outlink_counts": {
+            eid: {t: resolved_links.count((eid, t)) for src, t in resolved_links if src == eid} for eid in by_id
+        },
+        "redirect_map": redirect_map,
+        "dangling_links": sum(1 for *_, ok in links if not ok),
+    }
 
 
 def _fixture_documents():
@@ -203,6 +236,8 @@ def _check_index_determinism(seed: int) -> None:
     ]
     assert zlib.decompress(blob_a[8:]) == "".join(lines).encode("utf-8"), "index body is not the record lines"
     index = build_index(entries)
+    for name, value in index_oracle(entries).items():
+        assert getattr(index, name) == value, f"index {name} differs from the brute-force oracle"
     for anchor, plist in index.postings.items():
         total = sum(c for _, c in plist)
         priors = [c / total for _, c in plist]

@@ -17,6 +17,7 @@ from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     closure_oracle,
     enumerate_tuples,
     fd_gradient,
+    index_oracle,
     oracle_argmax,
     oracle_features,
     oracle_log_z,

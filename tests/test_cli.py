@@ -388,7 +388,8 @@ class TestCorruptArtifacts:
         code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(tmp_path / "toy.idx"),
                     "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
-        assert any("format version" in r.getMessage() for r in caplog.records)
+        assert any(r.getMessage().startswith(f"{tmp_path / target}: ") and "format version" in r.getMessage()
+                   for r in caplog.records)
 
 
 def _doc(mention=None, **fields):
@@ -478,6 +479,27 @@ class TestMalformedRecords:
         assert run(["build-index", "--kb", kb, "--out", str(tmp_path / "x.idx")]) == 1
         assert not (tmp_path / "x.idx").exists()
         assert any(r.getMessage().startswith(f"{kb}:{len(records)}: ") for r in caplog.records)
+
+    @pytest.mark.parametrize("reader", ["build-index", "link-documents", "eval-predictions", "link-model"])
+    def test_deeply_nested_json_exits_1(self, toy_artifacts, tmp_path, caplog, reader):
+        """A line nested deeper than the JSON parser recurses is invalid JSON
+        to every reader: exit 1 naming the file and line (the model file, by
+        its path), not a RecursionError."""
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        index, model, docs = (str(tmp_path / n) for n in ("toy.idx", "model.json", "docs.jsonl"))
+        bad = model if reader == "link-model" else str(tmp_path / "bad.jsonl")
+        Path(bad).write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        link = ["link", "--model", model, "--index", index, "--out", str(tmp_path / "p.jsonl")]
+        argv = {
+            "build-index": ["build-index", "--kb", bad, "--out", str(tmp_path / "x.idx")],
+            "link-documents": link + ["--in", bad],
+            "eval-predictions": ["eval", "--metric", "bot", "--pred", bad, "--gold", docs],
+            "link-model": link + ["--in", docs],
+        }[reader]
+        assert run(argv) == 1
+        prefix = f"{bad}: not a valid model file" if reader == "link-model" else f"{bad}:1: invalid JSON"
+        assert any(r.getMessage().startswith(prefix) for r in caplog.records)
 
     @pytest.mark.parametrize("metric", ["bot", "b3plus"])
     def test_eval_duplicate_prediction_exits_1(self, toy_artifacts, tmp_path, caplog, metric):

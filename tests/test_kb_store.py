@@ -1,12 +1,15 @@
 """Anchor-title index construction, retrieval and serialization tests."""
 
+import gc
 import json
 import random
 import struct
 import zlib
 
 import pytest
-from conftest import DAMAGE
+from conftest import DAMAGE, index_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entlink import kb_store
 from entlink.fixtures import toy_index, toy_kb_entries
@@ -169,6 +172,84 @@ class TestBuildIndex:
             for source in entries:
                 expected = e in resolved_targets[source]
                 assert (source in index.inlinks.get(e, frozenset())) == expected
+
+
+# Names that collide once normalized ("Alpha", "alpha!", "ALPHA"), that are
+# also ids ("B", "C"), that normalize to "" ("", "...", " _ "), or that
+# nothing claims ("Ghost"); ids may be missing, so targets dangle or resolve
+# through a title or redirect.
+_KB_IDS = ["A", "B", "C", "D"]
+_KB_NAMES = ["Alpha", "alpha!", "ALPHA", "Beta", "B", "C", "", "...", " _ ", "Ghost"]
+
+
+@st.composite
+def random_kbs(draw):
+    ids = draw(st.lists(st.sampled_from(_KB_IDS), unique=True, max_size=len(_KB_IDS)))
+    names = st.sampled_from(_KB_NAMES)
+    return [
+        KbEntry(
+            id=eid,
+            title=draw(names),
+            text="",
+            outlinks=tuple(draw(st.lists(st.tuples(names, st.sampled_from(_KB_IDS + _KB_NAMES)), max_size=6))),
+            redirects=frozenset(draw(st.lists(names, max_size=3))),
+        )
+        for eid in ids
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=random_kbs(), data=st.data())
+def test_build_index_matches_the_oracle(entries, data):
+    """Postings, inlinks, outlink counts, the redirect map and the dangling
+    count equal the brute-force derivation, whatever the record order."""
+    index = build_index(data.draw(st.permutations(entries)))
+    for name, value in index_oracle(entries).items():
+        assert getattr(index, name) == value, name
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic collector enabled or disabled for the test, then restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollector:
+    """`build_index` pauses the cyclic collector and leaves it as it found
+    it, and collects once when it built at least a full-collection interval
+    of container objects."""
+
+    def test_state_kept_after_a_build(self, collector):
+        build_index(toy_kb_entries())
+        assert gc.isenabled() == collector
+
+    def test_state_kept_after_a_duplicate_id(self, collector):
+        entry = KbEntry(id="X", title="X", text="")
+        with pytest.raises(KbError):
+            build_index([entry, entry])
+        assert gc.isenabled() == collector
+
+    def test_state_kept_after_a_bad_record_in_an_index(self, collector):
+        lines = canonical_lines(toy_kb_entries())
+        lines[1] = '{"id": "X", "text": ""}'
+        with pytest.raises(KbError):
+            AnchorIndex.from_bytes(index_blob(lines))
+        assert gc.isenabled() == collector
+
+    @pytest.mark.parametrize("threshold,expected", [((1, 1, 1), 1), ((10**9, 10, 10), 0)],
+                             ids=["above-interval", "below-interval"])
+    def test_one_collection_above_the_interval(self, collector, monkeypatch, threshold, expected):
+        """One pass when the build's new objects reach the product of the
+        thresholds, none below it, and none when the caller disabled the
+        collector."""
+        calls = []
+        monkeypatch.setattr(gc, "get_threshold", lambda: threshold)
+        monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args) or 0)
+        build_index(toy_kb_entries())
+        assert len(calls) == (expected if collector else 0)
 
 
 class TestFastSearch:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -445,7 +446,7 @@ class TestModelSerialization:
             f'"format_version": {MODEL_FORMAT_VERSION}', '"format_version": 99'
         )
         path.write_text(content)
-        with pytest.raises(FormatVersionError):
+        with pytest.raises(FormatVersionError, match=f"^{re.escape(str(path))}: model format version 99"):
             Model.load(str(path))
 
     def test_version_1_model_with_tuple_budget_rejected(self, tmp_path):
@@ -481,7 +482,7 @@ class TestModelSerialization:
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatVersionError):
+        with pytest.raises(FormatVersionError, match=f"^{re.escape(str(path))}: "):
             Model.load(str(path))
 
     def test_invalid_model_parameters(self):
