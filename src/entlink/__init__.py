@@ -17,7 +17,7 @@ from .segmenter import (
     connected_components,
     load_documents,
 )
-from .text_vsm import cosine, tokenize
+from .text_vsm import TermVector, cosine, tokenize
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,7 @@ __all__ = [
     "PipelineConfig",
     "PmiTable",
     "Prediction",
+    "TermVector",
     "b3plus_f1",
     "bot_f1",
     "build_index",

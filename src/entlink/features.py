@@ -192,12 +192,14 @@ class _EntityData:
     __slots__ = (
         "words", "text_vec", "top_vec", "ctx_vecs",
         "norm_title", "norm_redirects", "acronyms", "title_tokens",
-        "category_token_sets", "name_sequences",
+        "category_token_sets", "relation_names",
     )
 
     def __init__(self, extractor: "FeatureExtractor", eid: str):
         index = extractor.index
-        entry = index.entries[eid]
+        entries = index.entries
+        entry = entries[eid]
+        name_words = extractor._name_words
         self.words = words(entry.text)
         self.text_vec = term_freq(self.words)
         self.top_vec = top_terms(self.text_vec, extractor.top_n)
@@ -205,29 +207,23 @@ class _EntityData:
         self.ctx_vecs: dict[str, TermVector] = {}
         self.norm_title = normalize_name(entry.title)
         self.norm_redirects = frozenset(normalize_name(r) for r in entry.redirects)
-        acronyms = set()
-        for name in [entry.title, *entry.redirects]:
-            initials = _acronym(words(name))
-            if initials:
-                acronyms.add(initials)
-        self.acronyms = frozenset(acronyms)
-        self.title_tokens = frozenset(words(entry.title))
-        self.category_token_sets = {c: frozenset(words(c)) for c in entry.categories}
-
-        def sequences(names: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-            seqs = []
-            for name in names:
-                seq = words(name)
-                if seq:
-                    seqs.append(seq)
-            return tuple(seqs)
-
-        self.name_sequences = {
-            "category": sequences(sorted(entry.categories)),
-            "redirect": sequences(sorted(entry.redirects)),
-            "inlink": sequences(sorted(index.titles(index.inlinks.get(eid, frozenset())))),
-            "outlink": sequences(sorted(index.titles(index.outlink_counts.get(eid, {})))),
-        }
+        title = name_words(entry.title)
+        redirects = [name_words(r) for r in entry.redirects]
+        self.acronyms = frozenset(filter(None, map(_acronym, [title, *redirects])))
+        self.title_tokens = frozenset(title)
+        categories = [name_words(c) for c in entry.categories]
+        self.category_token_sets = tuple(frozenset(seq) for seq in categories)
+        inlinks = [name_words(entries[e].title) for e in index.inlinks.get(eid, ())]
+        outlinks = [name_words(entries[e].title) for e in index.outlink_counts.get(eid, ())]
+        # (text column, context column, words) of every name that has words,
+        # relation by relation. The names only feed integer sums, so their
+        # order is free.
+        self.relation_names = tuple(
+            (text_col, ctx_col, seq)
+            for (text_col, ctx_col), seqs in zip(extractor._freq_columns, (categories, inlinks, outlinks, redirects))
+            for seq in seqs
+            if seq
+        )
 
 
 class MentionTerms(NamedTuple):
@@ -265,8 +261,12 @@ class DocumentView:
 class FeatureExtractor:
     """Computes feature vectors for candidate assignments against one index.
 
-    All caches are write-once per key with idempotent values, so a built
-    extractor may be shared by concurrent readers.
+    It caches what it derives from each candidate entity (page vectors and
+    their norms, page context windows, the words of its relation names), the
+    words of each KB title, category and redirect it reads, and each
+    candidate pair's features. Every cache, the title-words one included, is write-once per
+    key with idempotent values, so a built extractor may be shared by
+    concurrent readers (`link --jobs`).
     """
 
     def __init__(
@@ -284,18 +284,31 @@ class FeatureExtractor:
         self.window = window
         self.top_n = top_n
         self._idx = {name: self.registry.index(name) for name in self.registry.names}
+        # (text column, context column) of each relation, in LINK_RELATIONS order
+        self._freq_columns = tuple(
+            (self._idx[f"{relation}_freq_text"], self._idx[f"{relation}_freq_ctx"]) for relation in LINK_RELATIONS
+        )
         bool_idx = self.registry.boolean_indices
         masks = np.arange(1 << bool_idx.size)
         # row m: the boolean features of an assignment whose ANDed bitmask is m
         self._mask_features = np.zeros((masks.size, len(self.registry)))
         self._mask_features[:, bool_idx] = (masks[:, None] >> np.arange(bool_idx.size)) & 1
         self._entity_data: dict[str, _EntityData] = {}
+        self._kb_name_words: dict[str, tuple[str, ...]] = {}
         self._pair_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def document_view(self, doc: MentionDocument) -> DocumentView:
         return DocumentView(self, doc)
 
     # -- entity-side caches ---------------------------------------------------
+
+    def _name_words(self, name: str) -> tuple[str, ...]:
+        """`words(name)` of a KB title, category or redirect, tokenized once
+        per extractor."""
+        seq = self._kb_name_words.get(name)
+        if seq is None:
+            seq = self._kb_name_words[name] = words(name)
+        return seq
 
     def _page_context(self, data: _EntityData, terms: MentionTerms) -> TermVector:
         """Window around the first occurrence of the surface in the page text,
@@ -346,12 +359,14 @@ class FeatureExtractor:
             vec[idx["cos_top_text"]] = cosine(data.top_vec, terms.text_vec)
             vec[idx["cos_top_ctx"]] = cosine(data.top_vec, terms.ctx_vec)
 
-            sides = {"text": terms.text_seq, "ctx": terms.ctx_seq}
-            for relation in LINK_RELATIONS:
-                sequences = data.name_sequences[relation]
-                for side, tokens in sides.items():
-                    total = sum(count_contiguous(seq, tokens) for seq in sequences)
-                    vec[idx[f"{relation}_freq_{side}"]] = float(total)
+            # A name whose first word is not among a side's terms occurs
+            # nowhere in that side. The counts are small integers, so the sums
+            # are exact in any order.
+            for text_col, ctx_col, name in data.relation_names:
+                if name[0] in terms.text_vec:
+                    vec[text_col] += count_contiguous(name, terms.text_seq)
+                if name[0] in terms.ctx_vec:
+                    vec[ctx_col] += count_contiguous(name, terms.ctx_seq)
 
             surface_key = terms.surface_key
             vec[idx["match_all_title"]] = 1.0 if surface_key == data.norm_title else 0.0
@@ -395,7 +410,7 @@ class FeatureExtractor:
                 (data1.category_token_sets, data2.title_tokens),
                 (data2.category_token_sets, data1.title_tokens),
             ):
-                for cat_tokens in token_sets.values():
+                for cat_tokens in token_sets:
                     if jaccard(cat_tokens, title_tokens) >= 0.5:
                         relations += 1
             vec[idx["categorical_relation_freq"]] = float(relations)

@@ -68,6 +68,11 @@ def normalize_name(name: str) -> str:
     return s[start:end].strip()
 
 
+# The categories or redirects of every entry that has none: one shared object
+# rather than an empty frozenset per entry.
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True)
 class KbEntry:
     """One KB entity: page text plus categories, outlinks and redirects."""
@@ -75,9 +80,9 @@ class KbEntry:
     id: str
     title: str
     text: str
-    categories: frozenset[str] = frozenset()
+    categories: frozenset[str] = _NO_NAMES
     outlinks: tuple[tuple[str, str], ...] = ()  # (anchor text, target id) occurrences
-    redirects: frozenset[str] = frozenset()
+    redirects: frozenset[str] = _NO_NAMES
 
     @staticmethod
     def from_record(record: dict) -> "KbEntry":
@@ -96,10 +101,12 @@ class KbEntry:
             raise KbError(f"KB id {eid!r} is reserved for NIL labels")
         if not isinstance(title, str) or not isinstance(text, str):
             raise KbError(f"entry {eid!r}: 'title' and 'text' must be strings")
+        names = {}
         for key in ("categories", "redirects"):
-            names = record.get(key, [])
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            value = record.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
                 raise KbError(f"entry {eid!r}: {key!r} must be a list of strings")
+            names[key] = frozenset(value) if value else _NO_NAMES
         links = record.get("links", [])
         if not isinstance(links, list):
             raise KbError(f"entry {eid!r}: 'links' must be a list")
@@ -113,9 +120,9 @@ class KbEntry:
             id=eid,
             title=title,
             text=text,
-            categories=frozenset(record.get("categories", ())),
+            categories=names["categories"],
             outlinks=outlinks,
-            redirects=frozenset(record.get("redirects", ())),
+            redirects=names["redirects"],
         )
 
     def to_record(self) -> dict:
@@ -159,15 +166,6 @@ class AnchorIndex:
             for tok in toks:
                 by_token[tok].append(anchor)
         self._token_to_anchors = dict(by_token)
-
-    def titles(self, entity_ids: Iterable[str]) -> list[str]:
-        """Titles for the given ids, skipping ids without a KB entry."""
-        out = []
-        for eid in entity_ids:
-            entry = self.entries.get(eid)
-            if entry is not None:
-                out.append(entry.title)
-        return out
 
     # -- retrieval ----------------------------------------------------------
 
@@ -352,14 +350,15 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
             raise KbError(f"duplicate KB id {record.id!r}")
         entries[record.id] = record
 
+    ids = sorted(entries)
     # Titles claim normalized names first, then redirects; within each pass
     # the smallest entity id wins, which makes the map order-independent.
     redirect_map: dict[str, str] = {}
-    for eid in sorted(entries):
+    for eid in ids:
         key = normalize_name(entries[eid].title)
         if key and key not in redirect_map:
             redirect_map[key] = eid
-    for eid in sorted(entries):
+    for eid in ids:
         for alias in sorted(entries[eid].redirects):
             key = normalize_name(alias)
             if key and key not in redirect_map:
@@ -369,7 +368,7 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     outlink_counts: dict[str, dict[str, int]] = {}
     inlinks: dict[str, set[str]] = {}
     dangling = 0
-    for eid in sorted(entries):
+    for eid in ids:
         counts = outlink_counts[eid] = {}
         for anchor, target in entries[eid].outlinks:
             if target in entries:

@@ -4,13 +4,15 @@ Each check recomputes its expected answer with an independent method (hand
 values, finite differences, brute-force closure) rather than trusting the
 code path it exercises. The brute-force oracles (finite-difference gradient,
 joint-assignment enumeration and scoring, component closure, index
-derivation) are public: the test suite imports these same ones.
+derivation, cosine, relation frequencies) are public: the test suite imports
+these same ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import zlib
 
@@ -18,19 +20,19 @@ import numpy as np
 
 from . import fixtures
 from .config import PipelineConfig
-from .features import FeatureExtractor, default_registry, train_pmi
+from .features import LINK_RELATIONS, FeatureExtractor, count_contiguous, default_registry, train_pmi
 from .kb_store import build_index, normalize_name
 from .maxent import NEAR_TIE, Model, build_training_instances, cll_objective, decode
 from .segmenter import connected_components
-from .text_vsm import cosine, tokenize
+from .text_vsm import TermVector, context_window, cosine, tokenize, words
 
 
 def _check_cosine() -> None:
-    v = {"x": 2.0, "y": 1.0}
+    v = TermVector({"x": 2.0, "y": 1.0})
     assert abs(cosine(v, v) - 1.0) < 1e-12
-    assert cosine({"x": 1.0}, {"y": 1.0}) == 0.0
+    assert cosine(TermVector({"x": 1.0}), TermVector({"y": 1.0})) == 0.0
     expected = 1.0 / 2.0 ** 0.5  # hand-computed dot/norms
-    assert abs(cosine({"x": 1.0, "y": 1.0}, {"x": 1.0}) - expected) < 1e-12
+    assert abs(cosine(TermVector({"x": 1.0, "y": 1.0}), TermVector({"x": 1.0})) - expected) < 1e-12
 
 
 # -- brute-force oracles, shared with the test suite ---------------------------------
@@ -80,6 +82,45 @@ def oracle_features(extractor, component, assignments, view) -> np.ndarray:
         for left, right in zip(assignment, assignment[1:]):
             row += extractor.entity_entity_features(left.entity_id, right.entity_id)
     return out
+
+
+def oracle_cosine(a: dict[str, float], b: dict[str, float]) -> float:
+    """Cosine similarity computed afresh: both norms recomputed from the weights,
+    the dot product summed over the sorted common terms; 0.0 when either
+    vector is empty."""
+    if not a or not b:
+        return 0.0
+    dot = sum(a[t] * b[t] for t in sorted(a.keys() & b.keys()))
+    if dot == 0.0:
+        return 0.0
+    norm_a = math.sqrt(sum(w * w for w in a.values()))
+    norm_b = math.sqrt(sum(w * w for w in b.values()))
+    return min(1.0, dot / (norm_a * norm_b))
+
+
+def oracle_relation_frequencies(extractor, doc, mention, entity_id: str) -> dict[str, float]:
+    """The `<relation>_freq_<side>` features of a mention and a KB entity, by
+    brute force: for every one of the entity's categories, redirects, inlink
+    titles and outlink titles, in sorted order, the occurrences of its words
+    as a contiguous sequence in the mention's words (text) and in its context
+    window's (ctx), summed per relation and side."""
+    index = extractor.index
+    entry = index.entries[entity_id]
+    names = {
+        "category": sorted(entry.categories),
+        "inlink": sorted(index.entries[e].title for e in index.inlinks.get(entity_id, ())),
+        "outlink": sorted(index.entries[e].title for e in index.outlink_counts.get(entity_id, ())),
+        "redirect": sorted(entry.redirects),
+    }
+    sides = {
+        "text": words(mention.surface),
+        "ctx": tuple(t.text for t in context_window(doc.tokens, mention.start, extractor.window)),
+    }
+    return {
+        f"{relation}_freq_{side}": float(sum(count_contiguous(words(name), seq) for name in names[relation]))
+        for relation in LINK_RELATIONS
+        for side, seq in sides.items()
+    }
 
 
 def oracle_argmax(assignments, scores) -> tuple[str, ...]:

@@ -6,7 +6,10 @@ compared as its sequence of token words, which `words` gives without
 offsets. Everything here is a pure function over immutable inputs, so
 unrestricted parallel use is safe. Term weights are raw term frequencies; no
 corpus-level statistics are involved, which keeps training and decoding
-deterministic.
+deterministic. A `TermVector` computes its norm once, when it is made, so a
+page vector compared with many mentions is not re-measured for each; `cosine`
+still sums the dot product over the sorted common terms, so its value is the
+same, bit for bit, as one that recomputes both norms.
 """
 
 from __future__ import annotations
@@ -15,13 +18,25 @@ import math
 import re
 from bisect import bisect_right
 from collections import Counter
-from operator import attrgetter
-from typing import Iterable, NamedTuple
+from operator import attrgetter, mul
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-# Sparse term -> weight map. Zero-weight entries are never stored.
-TermVector = dict[str, float]
+
+class TermVector(dict[str, float]):
+    """Sparse term -> weight map with its Euclidean norm.
+
+    Zero-weight entries are never stored. The norm is computed once, from
+    the weights in insertion order, when the vector is made; a vector is
+    not changed after that.
+    """
+
+    __slots__ = ("norm",)
+
+    def __init__(self, weights: Mapping[str, float] | Iterable[tuple[str, float]] = ()):
+        super().__init__(weights)
+        self.norm = math.sqrt(sum(w * w for w in self.values()))
 
 
 class Token(NamedTuple):
@@ -132,6 +147,9 @@ _MARK = f"(?![\\x00-\\u02ff])[{_char_class(_MARK_RANGES)}]"
 # A token is one CJK character, or a maximal run of word characters and marks.
 # (W+|M+)+ rather than (W|M)+ lets the engine take a run of W in one step.
 _TOKEN = re.compile(f"[{_CJK}]|(?:{_WORD}+|{_MARK}+)+")
+# ASCII text has no CJK character and no mark, so there a token is a run of
+# letters and digits, which this simpler pattern finds about twice as fast.
+_ASCII_TOKEN = re.compile("[0-9A-Za-z]+")
 
 
 def tokenize(text: str) -> TokenStream:
@@ -142,16 +160,15 @@ def tokenize(text: str) -> TokenStream:
     tokenizer needs no language-specific resources. Raises
     UnicodeEncodeError on text that has no UTF-8 encoding (a lone surrogate).
     """
-    matches = _TOKEN.finditer(text)
     if text.isascii():
         # One byte per character: character offsets are byte offsets.
-        return [Token(m[0].casefold(), m.start(), m.end()) for m in matches]
+        return [Token(m[0].casefold(), m.start(), m.end()) for m in _ASCII_TOKEN.finditer(text)]
     # Byte offset of every character: the positions of the UTF-8 bytes that
     # start a character (any byte but a 10xxxxxx continuation byte).
     data = text.encode("utf-8")
     at = np.flatnonzero((np.frombuffer(data, dtype=np.uint8) & 0xC0) != 0x80).tolist()
     at.append(len(data))
-    return [Token(m[0].casefold(), at[m.start()], at[m.end()]) for m in matches]
+    return [Token(m[0].casefold(), at[m.start()], at[m.end()]) for m in _TOKEN.finditer(text)]
 
 
 def words(text: str) -> tuple[str, ...]:
@@ -161,16 +178,23 @@ def words(text: str) -> tuple[str, ...]:
     `tokenize` does.
     """
     if text.isascii():
-        # ASCII casefolding maps each letter to one letter, so folding the
-        # whole text first leaves the tokens as they were.
-        return tuple(_TOKEN.findall(text.casefold()))
+        return tuple(_ASCII_TOKEN.findall(text.casefold()))
     text.encode("utf-8")  # a lone surrogate raises here
-    return tuple(w.casefold() for w in _TOKEN.findall(text))
+    # Casefolding maps every character to characters of its own class (a CJK
+    # character to one CJK character), so folding the whole text first leaves
+    # the tokens as they were. tests/test_text_vsm.py checks this on every
+    # code point.
+    return tuple(_TOKEN.findall(text.casefold()))
 
 
 def term_freq(terms: Iterable[str]) -> TermVector:
-    """Term-frequency vector of an iterable of token strings."""
-    return {term: float(n) for term, n in Counter(terms).items()}
+    """Term-frequency vector of an iterable of token strings.
+
+    The weights are the counts as ints. Between two count vectors, every
+    product and sum `cosine` forms is an integer far below 2**53, so it is
+    exact, and the cosine is the same, bit for bit, as over float counts.
+    """
+    return TermVector(Counter(terms))
 
 
 def top_terms(vector: TermVector, n: int) -> TermVector:
@@ -182,7 +206,7 @@ def top_terms(vector: TermVector, n: int) -> TermVector:
     if len(vector) <= n:
         return vector
     ranked = sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))
-    return dict(ranked[:n])
+    return TermVector(ranked[:n])
 
 
 def context_window(tokens: TokenStream, anchor_offset: int, window: int) -> list[Token]:
@@ -199,18 +223,18 @@ def context_window(tokens: TokenStream, anchor_offset: int, window: int) -> list
 
 
 def cosine(a: TermVector, b: TermVector) -> float:
-    """Cosine similarity of two sparse vectors; 0.0 when either is empty.
+    """Cosine similarity of two term vectors; 0.0 when either is empty.
 
-    The dot product is accumulated over sorted common terms so the result is
-    exactly symmetric in its arguments.
+    The common terms are found by scanning the smaller vector, and the dot
+    product is summed over them in sorted order, so the result is exactly
+    symmetric in its arguments for any weights. The norms are the ones the
+    vectors computed when they were made.
     """
-    if not a or not b:
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    common = sorted(filter(large.__contains__, small))
+    if not common:
         return 0.0
-    common = sorted(a.keys() & b.keys())
-    dot = sum(a[t] * b[t] for t in common)
+    dot = sum(map(mul, map(a.__getitem__, common), map(b.__getitem__, common)))
     if dot == 0.0:
         return 0.0
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    return min(1.0, dot / (norm_a * norm_b))
-
+    return min(1.0, dot / (a.norm * b.norm))

@@ -19,8 +19,10 @@ from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     fd_gradient,
     index_oracle,
     oracle_argmax,
+    oracle_cosine,
     oracle_features,
     oracle_log_z,
+    oracle_relation_frequencies,
 )
 from entlink.text_vsm import _CJK_RANGES, Token
 

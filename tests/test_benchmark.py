@@ -17,6 +17,9 @@ UNREAD_SPANS = {
     "segmenter.enumerate_tuples",
     "features.FeatureExtractor.tuple_features",
 }
+# Per-layer counts that read 0 if features stop calling a traced function,
+# or the workload stops reaching KB candidates.
+MUST_COUNT = ("text_vsm.cosine_calls", "features.distinct_candidate_entities")
 
 
 @pytest.mark.parametrize("workload", ["bulk", "collective"])
@@ -34,6 +37,7 @@ def test_benchmark_smoke_run_is_correct(tmp_path, workload):
     assert result["correct"] is True, proc.stderr[-2000:]
     assert result["failed"] == 0, proc.stderr[-2000:]
     assert [name for name, m in result["metrics"].items() if m["value"] is None] == []
+    assert [name for name in MUST_COUNT if not result["metrics"][name]["value"] > 0] == []
     prefix = "perfbench: not in this version of entlink, so not traced: "
     untraced = [line[len(prefix):].split(", ") for line in proc.stderr.splitlines() if line.startswith(prefix)]
     assert set().union(*untraced) <= UNREAD_SPANS

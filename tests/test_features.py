@@ -4,7 +4,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import oracle_relation_frequencies
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlink.features import (
@@ -164,6 +165,60 @@ class TestMentionEntityFeatures:
         assert feature(extractor, vec, "category_freq_ctx") >= 1.0
         # the category phrase does not occur inside the mention surface itself
         assert feature(extractor, vec, "category_freq_text") == 0.0
+
+
+_REL_WORDS = ["ab", "cd", "ef", "gh"]
+_WORDLESS_NAMES = ["", "—", "!?", "_ _", "(...)"]
+
+
+def _random_name(rng: random.Random) -> str:
+    """A KB name over a four-word vocabulary: often one that tokenizes to
+    nothing, or that repeats its first word."""
+    if rng.random() < 0.2:
+        return rng.choice(_WORDLESS_NAMES)
+    seq = rng.choices(_REL_WORDS, k=rng.randint(1, 3))
+    if rng.random() < 0.3:
+        seq = [seq[0]] * len(seq)
+    return rng.choice([" ", "_", " - "]).join(w.upper() if rng.random() < 0.2 else w for w in seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_relation_frequencies_equal_brute_force(seed):
+    """The eight `*_freq_*` columns equal the brute-force sums over each
+    entity's sorted names, whatever the first-word prefilter and the shared
+    name cache skip: names without words, names that repeat a word, and
+    names whose first word occurs in the text while the whole name does
+    not (the "<word> zz" category of E0)."""
+    rng = random.Random(seed)
+    text_words = rng.choices(_REL_WORDS, k=rng.randint(3, 14))
+    ids = [f"E{i}" for i in range(rng.randint(2, 5))]
+
+    def names(most: int) -> frozenset[str]:
+        return frozenset(_random_name(rng) for _ in range(rng.randint(0, most)))
+
+    entries = [
+        KbEntry(
+            id=eid,
+            title=_random_name(rng),
+            text=" ".join(rng.choices(_REL_WORDS, k=5)),
+            categories=names(3) | ({f"{rng.choice(text_words)} zz", rng.choice(_WORDLESS_NAMES)} if i == 0 else set()),
+            outlinks=tuple((_random_name(rng), rng.choice(ids)) for _ in range(rng.randint(0, 4))),
+            redirects=names(2),
+        )
+        for i, eid in enumerate(ids)
+    ]
+    index = build_index(entries)
+    start = rng.randrange(len(text_words))
+    surface = " ".join(text_words[start:start + rng.randint(1, 3)])
+    doc = doc_from_spans("d", " ".join(text_words), [("m", surface, None)])
+    extractor = FeatureExtractor(index, window=rng.choice([2, 4, 8, 50]))
+    view = extractor.document_view(doc)
+    mention = doc.mentions[0]
+    for eid in ids:
+        vec = extractor.mention_entity_features(mention, Candidate(eid, 0.5), view)
+        expected = oracle_relation_frequencies(extractor, doc, mention, eid)
+        assert {name: feature(extractor, vec, name) for name in expected} == expected
 
 
 class TestEntityEntityFeatures:

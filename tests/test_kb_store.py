@@ -129,6 +129,15 @@ class TestBuildIndex:
             with pytest.raises(KbError):
                 KbEntry.from_record({"id": eid, "title": "nil", "text": ""})
 
+    def test_entries_without_names_share_one_empty_set(self):
+        """An absent or empty `categories` or `redirects` list gives every
+        entry the same empty frozenset, not one object per entry."""
+        a = KbEntry.from_record({"id": "A", "title": "A", "text": ""})
+        b = KbEntry.from_record({"id": "B", "title": "B", "text": "", "categories": [], "redirects": []})
+        c = KbEntry.from_record({"id": "C", "title": "C", "text": "", "redirects": ["Sea"]})
+        assert a.redirects is b.redirects is a.categories is b.categories is c.categories
+        assert a.redirects == frozenset() and c.redirects == frozenset({"Sea"})
+
     def test_dangling_target_counted_and_kept_in_postings(self):
         entries = [
             KbEntry(id="A", title="A", text="", outlinks=(("ghost", "MISSING"),)),

@@ -5,11 +5,21 @@ import math
 import unicodedata
 
 import pytest
-from conftest import _is_cjk, _is_word_char, oracle_tokenize
+from conftest import _is_cjk, _is_word_char, oracle_cosine, oracle_tokenize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlink.text_vsm import _CJK_RANGES, _MARK_RANGES, context_window, cosine, term_freq, tokenize, top_terms, words
+from entlink.text_vsm import (
+    _CJK_RANGES,
+    _MARK_RANGES,
+    TermVector,
+    context_window,
+    cosine,
+    term_freq,
+    tokenize,
+    top_terms,
+    words,
+)
 
 
 def terms(tokens):
@@ -222,26 +232,26 @@ class TestVectors:
 
 class TestCosine:
     def test_identity(self):
-        v = {"x": 2.0, "y": 3.0}
+        v = TermVector({"x": 2.0, "y": 3.0})
         assert abs(cosine(v, v) - 1.0) < 1e-12
 
     def test_disjoint_supports(self):
-        assert cosine({"x": 1.0}, {"y": 1.0}) == 0.0
+        assert cosine(TermVector({"x": 1.0}), TermVector({"y": 1.0})) == 0.0
 
     def test_hand_computed_value(self):
         # dot = 1, |a| = sqrt(2), |b| = 1
-        assert abs(cosine({"x": 1.0, "y": 1.0}, {"x": 1.0}) - 1.0 / math.sqrt(2)) < 1e-12
+        assert abs(cosine(TermVector({"x": 1.0, "y": 1.0}), TermVector({"x": 1.0})) - 1.0 / math.sqrt(2)) < 1e-12
 
     def test_empty_vector(self):
-        assert cosine({}, {"x": 1.0}) == 0.0
-        assert cosine({}, {}) == 0.0
+        assert cosine(TermVector(), TermVector({"x": 1.0})) == 0.0
+        assert cosine(TermVector(), TermVector()) == 0.0
 
 
 _vectors = st.dictionaries(
     st.text(alphabet="abcdef", min_size=1, max_size=3),
     st.floats(min_value=0.01, max_value=100.0),
     max_size=6,
-)
+).map(TermVector)
 
 
 @given(_vectors, _vectors)
@@ -249,9 +259,27 @@ def test_cosine_symmetry_exact(a, b):
     assert cosine(a, b) == cosine(b, a)
 
 
+@given(_vectors, _vectors)
+def test_cosine_equals_oracle_bit_for_bit(a, b):
+    """Norms made once and common terms found from the smaller vector give
+    the value of a cosine that recomputes everything, to the last bit."""
+    assert cosine(a, b) == oracle_cosine(dict(a), dict(b))
+
+
+_texts = st.lists(st.sampled_from("abcdef"), max_size=40)
+
+
+@given(_texts, _texts)
+def test_count_cosine_equals_float_oracle_bit_for_bit(a, b):
+    """term_freq keeps counts as ints; their cosine is that of the same
+    counts as floats, to the last bit."""
+    floats = [{t: float(n) for t, n in term_freq(x).items()} for x in (a, b)]
+    assert cosine(term_freq(a), term_freq(b)) == oracle_cosine(*floats)
+
+
 @given(_vectors, _vectors, st.floats(min_value=0.01, max_value=1000.0))
 def test_cosine_scale_invariance(a, b, scale):
-    scaled = {k: scale * w for k, w in a.items()}
+    scaled = TermVector({k: scale * w for k, w in a.items()})
     assert cosine(scaled, b) == pytest.approx(cosine(a, b), abs=1e-12)
 
 
