@@ -3,7 +3,11 @@ linear chain (max-product to decode, forward-backward for log Z and the
 expected features), the regularized conditional log-likelihood objective,
 quasi-Newton training, and per-component decoding.
 
-Objective and gradient sums run in a fixed instance order, so training is
+Inference runs over many chains at once, in one `ChainBatch`: training lays
+out every instance in one batch, once, and each objective evaluation is one
+batched forward-backward pass over it; decode runs a document's components
+as one batch. The batch order is fixed (chains in instance order, states
+layer by layer), so every sum runs in a fixed order and training is
 bit-reproducible for a given data order. A trained Model is immutable and may
 be read concurrently; decoding different documents in parallel is safe.
 """
@@ -13,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -104,26 +110,80 @@ class Model:
 
 @dataclass(frozen=True, eq=False)
 class TrainingInstance:
-    """One gold-labeled component: its chain's states and the aggregate
-    feature vector of its gold assignment."""
+    """One gold-labeled component: its chain and the aggregate feature
+    vector of its gold assignment."""
 
-    states: "ChainStates"
+    chain: ComponentChain
     gold_features: np.ndarray
 
     @property
     def features(self) -> np.ndarray:
         """Unary rows of the chain, one per (mention, candidate)."""
-        return self.states.chain.features
+        return self.chain.features
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    top = a.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
-    return out.item() if axis is None else out.squeeze(axis)
+def _chain_states(chain: ComponentChain) -> tuple[list[np.ndarray], list[tuple], np.ndarray]:
+    """The reachable states of one chain: per mention, each state's
+    candidate position; per step from mention i to i + 1, the transitions
+    as (source, destination, row in the step's pair block), with sources
+    numbered among mention i's states and destinations among mention
+    i + 1's, sorted by source; and the last mention's state masks."""
+    n_masks = chain.mask_features.shape[0]
+    offsets = list(accumulate(chain.sizes, initial=0))
+    cand, mask = np.arange(chain.sizes[0]), chain.bits[: chain.sizes[0]]
+    cands, steps = [cand], []
+    for i, k in enumerate(chain.sizes[1:], start=1):
+        after = mask[:, None] & chain.bits[offsets[i]:offsets[i] + k][None, :]
+        reached = np.zeros(k * n_masks, dtype=bool)
+        reached[np.arange(k) * n_masks + after] = True
+        nxt_cand, nxt_mask = np.divmod(np.flatnonzero(reached), n_masks)
+        # t follows s only when t's mask is the AND of s's mask and the bits of
+        # t's candidate; no other pair is a transition.
+        src, dst = np.nonzero(after[:, nxt_cand] == nxt_mask)
+        steps.append((src, dst, cand[src] * k + nxt_cand[dst]))
+        cand, mask = nxt_cand, nxt_mask
+        cands.append(cand)
+    return cands, steps, mask
 
 
-class ChainStates:
-    """Inference over a `ComponentChain`, exact in time linear in its length.
+def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """log-sum-exp of each run of `values` that begins at one of `starts`;
+    `segment` numbers each value's run."""
+    top = np.maximum.reduceat(values, starts)
+    return np.log(np.add.reduceat(np.exp(values - top[segment]), starts)) + top
+
+
+def _segment_max(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    return np.maximum.reduceat(values, starts)
+
+
+def _stack(arrays: list[np.ndarray], bases: list[int]) -> np.ndarray:
+    """The integer arrays concatenated, each shifted by its base."""
+    if not arrays:
+        return np.zeros(0, np.intp)
+    return np.concatenate(arrays) + np.repeat(np.array(bases, np.intp), [a.size for a in arrays])
+
+
+def _runs(keys: np.ndarray, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For sorted `keys` cut into parts at `bounds`: per part, where each run
+    of equal keys starts and each key's run number, both counted within the
+    part."""
+    if len(bounds) < 2:
+        return []
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    at = np.flatnonzero(new)
+    number = np.cumsum(new) - 1
+    cuts = np.searchsorted(at, bounds).tolist()
+    return [
+        (at[r0:r1] - lo, number[lo:hi] - r0)
+        for lo, hi, r0, r1 in zip(bounds, bounds[1:], cuts, cuts[1:])
+    ]
+
+
+class ChainBatch:
+    """Exact inference over many `ComponentChain`s at once, in time linear
+    in their total length.
 
     A state at mention i is a (candidate, mask) pair: the mask is the AND of
     the boolean bits of the candidates chosen at mentions 0..i, so the last
@@ -132,103 +192,181 @@ class ChainStates:
     is one path through the states, so max-product gives the best assignment
     and sum-product gives log Z and the marginals (Lafferty, McCallum and
     Pereira 2001, with the mask added to the state).
+
+    The layout is built once and does not depend on the weights. The
+    chains' unary, pair and mask rows are stacked in chain order. States are
+    numbered layer by layer, layer i holding mention i's states of every
+    chain that long, and chain by chain within a layer. Transitions are
+    numbered step by step and chain by chain within a step, which sorts them
+    by source state; the forward pass reads them through a stable sort by
+    destination. A pass takes one segmented numpy reduction per layer,
+    however many chains there are.
     """
 
-    def __init__(self, chain: ComponentChain):
-        self.chain = chain
-        n_masks = chain.mask_features.shape[0]
-        offsets = chain.offsets
-        cand, mask = np.arange(chain.sizes[0]), chain.bits[: chain.sizes[0]]
-        self.cand = [cand]  # per mention: each state's position in the candidate list
-        self.rows = [cand]  # per mention: each state's row in chain.features
-        self.pair_rows: list[np.ndarray] = []  # per step (S_i, S_i+1): row in pair_features
-        self.blocked: list[np.ndarray] = []    # per step (S_i, S_i+1): -inf where t cannot follow s
-        pair_offset = 0
-        for i, k in enumerate(chain.sizes[1:], start=1):
-            after = mask[:, None] & chain.bits[offsets[i]:offsets[i] + k][None, :]
-            nxt_cand, nxt_mask = np.divmod(np.unique(np.arange(k) * n_masks + after), n_masks)
-            self.pair_rows.append(pair_offset + cand[:, None] * k + nxt_cand[None, :])
-            self.blocked.append(np.where(after[:, nxt_cand] == nxt_mask[None, :], 0.0, -np.inf))
-            pair_offset += chain.sizes[i - 1] * k
-            cand, mask = nxt_cand, nxt_mask
-            self.cand.append(cand)
-            self.rows.append(offsets[i] + cand)
-        self.last_mask = mask
-        n_features = chain.features.shape[1]
-        self.pair_features = np.concatenate(
-            [block.reshape(-1, n_features) for block in chain.pairs] or [np.zeros((0, n_features))]
+    def __init__(self, chains: Sequence[ComponentChain]):
+        self.chains = tuple(chains)
+        width = self.chains[0].features.shape[1] if self.chains else 0
+        no_rows, no_ints = np.zeros((0, width)), np.zeros(0, np.intp)
+        self.unary = np.concatenate([chain.features for chain in self.chains] or [no_rows])
+        self.pair = np.concatenate([b.reshape(-1, width) for chain in self.chains for b in chain.pairs] or [no_rows])
+        self.mask = np.concatenate([chain.mask_features for chain in self.chains] or [no_rows])
+
+        layers: list[list] = []  # per layer: (chain, candidate positions, unary row of candidate 0, mask rows or None)
+        steps: list[list] = []   # per step: (chain, (sources, destinations, pair rows), first pair row)
+        unary_at = pair_at = mask_at = 0
+        for c, chain in enumerate(self.chains):
+            cands, transitions, last = _chain_states(chain)
+            for i, (cand, row) in enumerate(zip(cands, accumulate(chain.sizes, initial=unary_at))):
+                if i == len(layers):
+                    layers.append([])
+                # the last states' masks select the rows of the chain's boolean features
+                layers[i].append((c, cand, row, mask_at + last if i == len(cands) - 1 else None))
+            for i, (edges, k, k_next) in enumerate(zip(transitions, chain.sizes, chain.sizes[1:])):
+                if i == len(steps):
+                    steps.append([])
+                steps[i].append((c, edges, pair_at))
+                pair_at += k * k_next
+            unary_at += len(chain.features)
+            mask_at += len(chain.mask_features)
+
+        first = {}  # (chain, layer) -> number of the chain's first state in the layer
+        self.layer_at = [0]  # number of each layer's first state, then the state count
+        cand_parts, row_parts, chain_ids, sizes, end_parts, end_rows = [], [], [], [], [], []
+        for i, layer in enumerate(layers):
+            n = self.layer_at[-1]
+            for c, cand, row, end in layer:
+                first[c, i] = n
+                cand_parts.append(cand)
+                row_parts.append(row + cand)
+                chain_ids.append(c)
+                sizes.append(cand.size)
+                if end is not None:
+                    end_parts.append(np.arange(n, n + cand.size))
+                    end_rows.append(end)
+                n += cand.size
+            self.layer_at.append(n)
+        self.state_cand = np.concatenate(cand_parts or [no_ints])
+        self.state_row = np.concatenate(row_parts or [no_ints])
+        self.state_chain = np.repeat(np.array(chain_ids, np.intp), sizes)
+        self.end_states = np.concatenate(end_parts or [no_ints])
+        self.end_rows = np.concatenate(end_rows or [no_ints])
+        n_first = self.layer_at[1] if layers else 0
+        self.first_rows, self.first_chain = self.state_row[:n_first], self.state_chain[:n_first]
+        # each chain's first states: chain_at[c]:chain_at[c + 1]
+        self.chain_at = np.array([first[c, 0] for c in range(len(self.chains))] + [n_first], np.intp)
+
+        flat = [(edges, (first[c, i], first[c, i + 1], at)) for i, step in enumerate(steps) for c, edges, at in step]
+        self.edge_src, self.edge_dst, self.edge_pair = (
+            _stack([edges[k] for edges, _ in flat], [bases[k] for _, bases in flat]) for k in range(3)
         )
-        self._all_rows = np.concatenate(self.rows)
-        self._all_pair_rows = np.concatenate([r.ravel() for r in self.pair_rows] or [np.zeros(0, np.intp)])
-
-    def potentials(self, weights: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        """Log-potentials: the first mention's state scores, one transition
-        matrix per consecutive pair (-inf where a state cannot follow), and
-        the boolean features' score at each of the last mention's states."""
-        unary = self.chain.features @ weights
-        pair = self.pair_features @ weights
-        transitions = [
-            pair[rows] + unary[dst] + blocked
-            for rows, dst, blocked in zip(self.pair_rows, self.rows[1:], self.blocked)
+        self.edge_chain = self.state_chain[self.edge_src]
+        self.edge_unary = self.state_row[self.edge_dst]
+        # Transitions of step i (layer i to i + 1): edge_*[step_at[i]:step_at[i + 1]].
+        self.step_at = list(accumulate((sum(e[0].size for _, e, _ in step) for step in steps), initial=0))
+        self.backward_steps = [
+            (slice(lo, hi), self.edge_src[lo + starts], starts, segment)
+            for lo, hi, (starts, segment) in zip(self.step_at, self.step_at[1:], _runs(self.edge_src, self.step_at))
         ]
-        return unary[self.rows[0]], transitions, (self.chain.mask_features @ weights)[self.last_mask]
 
-    @staticmethod
-    def backward(transitions: list[np.ndarray], end: np.ndarray, reduce) -> list[np.ndarray]:
-        """Per mention, the reduced (max or log-sum) score of every way to
-        finish the chain from each state."""
-        beta = [end]
-        for trans in reversed(transitions):
-            beta.append(reduce(trans + beta[-1][None, :], axis=1))
-        return beta[::-1]
+    @cached_property
+    def forward_steps(self) -> list[tuple]:
+        """Per step, its transitions in a stable order by destination, their
+        sources, and the runs of each destination: the forward pass's layout,
+        built on first use, as only training runs that pass."""
+        order = np.argsort(self.edge_dst, kind="stable")
+        return [
+            (order[lo:hi], self.edge_src[order[lo:hi]], starts, segment, dst_lo, dst_hi)
+            for lo, hi, dst_lo, dst_hi, (starts, segment) in zip(
+                self.step_at, self.step_at[1:], self.layer_at[1:], self.layer_at[2:],
+                _runs(self.edge_dst[order], self.step_at),
+            )
+        ]
 
-    def decode(self, weights: np.ndarray, ids: Sequence[Sequence[str]]) -> tuple[list[int], float]:
-        """Best assignment (candidate positions) and its probability.
+    def _potentials(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log-potentials: each first-layer state's score, each transition's
+        score (its pair row and its destination's unary row), and the boolean
+        features' score at each chain's last-layer states."""
+        unary = self.unary @ weights
+        edge = (self.pair @ weights)[self.edge_pair] + unary[self.edge_unary]
+        return unary[self.first_rows], edge, (self.mask @ weights)[self.end_rows]
+
+    def _backward(self, edge: np.ndarray, end: np.ndarray, reduce) -> np.ndarray:
+        """Per state, the reduced (max or log-sum) score of every way to
+        finish its chain from it."""
+        beta = np.empty(self.layer_at[-1])
+        beta[self.end_states] = end
+        for step, sources, starts, segment in reversed(self.backward_steps):
+            beta[sources] = reduce(edge[step] + beta[self.edge_dst[step]], starts, segment)
+        return beta
+
+    def _log_z(self, start: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        return _segment_logsumexp(start + beta[: start.size], self.chain_at[:-1], self.first_chain)
+
+    def expectation(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Z of each chain, and the expected aggregate feature vector
+        E_P[f] summed over the chains."""
+        start, edge, end = self._potentials(weights)
+        beta = self._backward(edge, end, _segment_logsumexp)
+        alpha = np.empty_like(beta)
+        alpha[: start.size] = start
+        for order, sources, starts, segment, lo, hi in self.forward_steps:
+            alpha[lo:hi] = _segment_logsumexp(alpha[sources] + edge[order], starts, segment)
+        log_z = self._log_z(start, beta)
+        states = np.exp(alpha + beta - log_z[self.state_chain])
+        edges = np.exp(alpha[self.edge_src] + edge + beta[self.edge_dst] - log_z[self.edge_chain])
+        expected = (
+            np.bincount(self.state_row, states, minlength=len(self.unary)) @ self.unary
+            + np.bincount(self.edge_pair, edges, minlength=len(self.pair)) @ self.pair
+            + np.bincount(self.end_rows, states[self.end_states], minlength=len(self.mask)) @ self.mask
+        )
+        return log_z, expected
+
+    def decode(self, weights: np.ndarray, ids: Sequence[Sequence[Sequence[str]]]) -> list[tuple[list[int], float]]:
+        """Per chain, the best assignment (candidate positions) and its
+        probability; `ids[c][i][j]` is the id of candidate j of mention i of
+        chain c.
 
         Among assignments tied with the best score (up to `NEAR_TIE`), the
         smallest id sequence wins: each mention takes the smallest id among
         the choices that still reach the best score.
         """
-        start, transitions, end = self.potentials(weights)
-        best_rest = self.backward(transitions, end, np.maximum.reduce)
-        log_z = _logsumexp(start + self.backward(transitions, end, _logsumexp)[0])
-        scores = start + best_rest[0]
-        best = float(scores.max())
-        tol = NEAR_TIE * max(1.0, abs(best))
-        choice = []
-        for i, cand in enumerate(self.cand):
-            tied = np.flatnonzero(scores >= scores.max() - tol)
-            state = min(tied, key=lambda t: ids[i][cand[t]])
-            choice.append(int(cand[state]))
-            if i < len(transitions):
-                scores = transitions[i][state] + best_rest[i + 1]
-        return choice, float(np.exp(best - log_z))
-
-    def log_z_and_expectation(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
-        """log Z and the expected aggregate feature vector E_P[f]."""
-        chain = self.chain
-        start, transitions, end = self.potentials(weights)
-        beta = self.backward(transitions, end, _logsumexp)
-        alpha = [start]
-        for trans in transitions:
-            alpha.append(_logsumexp(alpha[-1][:, None] + trans, axis=0))
-        log_z = _logsumexp(start + beta[0])
-        states = np.exp(np.concatenate(alpha) + np.concatenate(beta) - log_z)
-        expected = np.bincount(self._all_rows, states, minlength=len(chain.features)) @ chain.features
-        if transitions:
-            joint = np.concatenate([
-                (a[:, None] + trans + b[None, :]).ravel() for a, trans, b in zip(alpha, transitions, beta[1:])
-            ])
-            pairs = np.bincount(self._all_pair_rows, np.exp(joint - log_z), minlength=len(self.pair_features))
-            expected += pairs @ self.pair_features
-        last = states[states.size - self.last_mask.size:]
-        expected += np.bincount(self.last_mask, last, minlength=len(chain.mask_features)) @ chain.mask_features
-        return log_z, expected
+        if not self.chains:
+            return []
+        start, edge, end = self._potentials(weights)
+        best_rest = self._backward(edge, end, _segment_max)
+        log_z = self._log_z(start, self._backward(edge, end, _segment_logsumexp))
+        first_scores = start + best_rest[: start.size]
+        # Transitions out of state s: edge_*[out_at[s]:out_at[s + 1]].
+        out_at = np.searchsorted(self.edge_src, np.arange(self.layer_at[-1] + 1))
+        decoded = []
+        for c, chain_ids in enumerate(ids):
+            states = np.arange(self.chain_at[c], self.chain_at[c + 1])
+            scores = first_scores[states]
+            best = float(scores.max())
+            tol = NEAR_TIE * max(1.0, abs(best))
+            choice = []
+            for i, mention_ids in enumerate(chain_ids):
+                tied = states[scores >= scores.max() - tol]
+                state = min(tied, key=lambda s: mention_ids[self.state_cand[s]])
+                choice.append(int(self.state_cand[state]))
+                if i + 1 < len(chain_ids):
+                    out = slice(out_at[state], out_at[state + 1])
+                    states, scores = self.edge_dst[out], edge[out] + best_rest[self.edge_dst[out]]
+            decoded.append((choice, float(np.exp(best - log_z[c]))))
+        return decoded
 
 
-def cll_objective(
-    weights: np.ndarray, instances: Sequence[TrainingInstance], sigma: float
-) -> tuple[float, np.ndarray]:
+class TrainingBatch:
+    """Training instances laid out once for `cll_objective`: their chains in
+    one `ChainBatch`, in instance order, and their gold feature vectors
+    summed."""
+
+    def __init__(self, instances: Sequence[TrainingInstance]):
+        self.chains = ChainBatch([inst.chain for inst in instances])
+        self.gold = np.sum([inst.gold_features for inst in instances], axis=0)
+
+
+def cll_objective(weights: np.ndarray, batch: TrainingBatch, sigma: float) -> tuple[float, np.ndarray]:
     """L2-regularized conditional log-likelihood and its gradient.
 
     value    = sum_i log P(gold_i) - sigma * ||w||^2
@@ -237,10 +375,10 @@ def cll_objective(
     weights = np.asarray(weights, dtype=float)
     value = -sigma * float(weights @ weights)
     grad = -2.0 * sigma * weights
-    for inst in instances:
-        log_z, expected = inst.states.log_z_and_expectation(weights)
-        value += float(inst.gold_features @ weights) - log_z
-        grad = grad + (inst.gold_features - expected)
+    if batch.chains.chains:
+        log_z, expected = batch.chains.expectation(weights)
+        value += float(batch.gold @ weights) - float(log_z.sum())
+        grad = grad + (batch.gold - expected)
     return value, grad
 
 
@@ -265,11 +403,12 @@ def fit_weights(
     # than everything else that `entlink link` loads.
     from scipy.optimize import minimize
 
+    batch = TrainingBatch(instances)
     last: list = []  # [w, value, grad] of the latest evaluation
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
         if not last or not np.array_equal(w, last[0]):
-            value, grad = cll_objective(w, instances, sigma)
+            value, grad = cll_objective(w, batch, sigma)
             if not np.isfinite(value) or not np.all(np.isfinite(grad)):
                 raise TrainingError("non-finite objective during line search")
             last[:] = [np.array(w, dtype=float), value, grad]
@@ -352,7 +491,7 @@ def build_training_instances(
                 gold_choice.append(ids.index(gold))
             stats.injected_gold += injected
             chain = extractor.component_chain(component, lists, view)
-            instances.append(TrainingInstance(ChainStates(chain), chain.assignment_features(gold_choice)))
+            instances.append(TrainingInstance(chain, chain.assignment_features(gold_choice)))
     return instances, stats
 
 
@@ -437,12 +576,13 @@ def decode(
         raise ValueError("the extractor was not built for this model and index; use Model.extractor(index)")
 
     view = extractor.document_view(doc)
+    components = connected_components(doc, model.config.gap)
+    lists = [[index.fast_search(m.surface, model.config.max_candidates) for m in c.mentions] for c in components]
+    batch = ChainBatch([extractor.component_chain(c, ls, view) for c, ls in zip(components, lists)])
+    decoded = batch.decode(model.weights, [[[c.entity_id for c in lst] for lst in ls] for ls in lists])
     predictions = []  # components are contiguous runs of doc.mentions, in order
-    for component in connected_components(doc, model.config.gap):
-        lists = [index.fast_search(m.surface, model.config.max_candidates) for m in component.mentions]
-        states = ChainStates(extractor.component_chain(component, lists, view))
-        choice, score = states.decode(model.weights, [[c.entity_id for c in lst] for lst in lists])
-        for mention, lst, j in zip(component.mentions, lists, choice):
+    for component, ls, (choice, score) in zip(components, lists, decoded):
+        for mention, lst, j in zip(component.mentions, ls, choice):
             predictions.append(Prediction(
                 doc_id=doc.doc_id,
                 mention_id=mention.id,

@@ -22,7 +22,7 @@ from . import fixtures
 from .config import PipelineConfig
 from .features import LINK_RELATIONS, FeatureExtractor, count_contiguous, default_registry, train_pmi
 from .kb_store import build_index, normalize_name
-from .maxent import NEAR_TIE, Model, build_training_instances, cll_objective, decode
+from .maxent import NEAR_TIE, Model, TrainingBatch, build_training_instances, cll_objective, decode
 from .segmenter import connected_components
 from .text_vsm import TermVector, context_window, cosine, tokenize, words
 
@@ -40,12 +40,13 @@ def _check_cosine() -> None:
 
 def fd_gradient(weights: np.ndarray, instances, sigma: float, h: float = 1e-5) -> np.ndarray:
     """Gradient of `cll_objective` by central finite differences of its value."""
+    batch = TrainingBatch(instances)
     grad = np.zeros_like(weights)
     for j in range(len(weights)):
         step = np.zeros_like(weights)
         step[j] = h
-        up, _ = cll_objective(weights + step, instances, sigma)
-        down, _ = cll_objective(weights - step, instances, sigma)
+        up, _ = cll_objective(weights + step, batch, sigma)
+        down, _ = cll_objective(weights - step, batch, sigma)
         grad[j] = (up - down) / (2 * h)
     return grad
 
@@ -138,6 +139,21 @@ def oracle_log_z(scores) -> float:
     return top + float(np.log(np.sum(np.exp(np.asarray(scores) - top))))
 
 
+def oracle_cll(components, weights: np.ndarray, sigma: float) -> tuple[float, np.ndarray]:
+    """`cll_objective`'s value and gradient by brute force, one component
+    at a time. Each component is a pair: the (n_assignments, F) features of
+    every joint assignment (`oracle_features`) and the gold assignment's row
+    in it."""
+    value = -sigma * float(weights @ weights)
+    grad = -2.0 * sigma * weights
+    for features, gold in components:
+        scores = features @ weights
+        log_z = oracle_log_z(scores)
+        value += float(scores[gold]) - log_z
+        grad = grad + features[gold] - np.exp(scores - log_z) @ features
+    return value, grad
+
+
 def index_oracle(entries) -> dict:
     """Everything `build_index` derives from KB entries with unique ids, by
     brute force: the redirect map by the smallest (titles before redirects,
@@ -190,10 +206,11 @@ def _check_gradient(seed: int) -> None:
     index = fixtures.toy_index()
     extractor = FeatureExtractor(index)
     instances, _ = build_training_instances(_fixture_documents(), index, extractor, PipelineConfig())
+    batch = TrainingBatch(instances)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         w = rng.normal(size=len(extractor.registry))
-        _, grad = cll_objective(w, instances, 0.5)
+        _, grad = cll_objective(w, batch, 0.5)
         fd = fd_gradient(w, instances, 0.5)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
         j = int(np.argmax(rel))

@@ -11,7 +11,7 @@ from entlink.config import PipelineConfig
 from entlink.features import ComponentChain, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans
 from entlink.kb_store import KbEntry, build_index
-from entlink.maxent import ChainStates, Model, TrainingInstance
+from entlink.maxent import Model, TrainingInstance
 from entlink.segmenter import MentionDocument
 from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     closure_oracle,
@@ -19,6 +19,7 @@ from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     fd_gradient,
     index_oracle,
     oracle_argmax,
+    oracle_cll,
     oracle_cosine,
     oracle_features,
     oracle_log_z,
@@ -298,4 +299,4 @@ def random_chain_instance(rng, n_features=10, max_mentions=4, max_candidates=4, 
         mask_features=mask_features,
     )
     gold = [int(rng.integers(k)) for k in sizes]
-    return TrainingInstance(ChainStates(chain), chain.assignment_features(gold))
+    return TrainingInstance(chain, chain.assignment_features(gold))

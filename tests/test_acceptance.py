@@ -31,8 +31,9 @@ from entlink.fixtures import (
 )
 from entlink.kb_store import NIL, KbEntry, build_index
 from entlink.maxent import (
-    ChainStates,
+    ChainBatch,
     Model,
+    TrainingBatch,
     build_training_instances,
     cll_objective,
     decode,
@@ -59,7 +60,7 @@ def test_01_gradient_matches_finite_differences():
         for _ in range(20):
             inst = random_chain_instance(rng)
             weights = rng.normal(size=10)
-            _, grad = cll_objective(weights, [inst], sigma=0.5)
+            _, grad = cll_objective(weights, TrainingBatch([inst]), sigma=0.5)
             fd = fd_gradient(weights, [inst], sigma=0.5)
             rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
             assert np.max(rel) < 1e-5, f"relative error {np.max(rel)} at coordinate {np.argmax(rel)}"
@@ -79,8 +80,8 @@ def test_02_softmax_normalization_on_random_components():
             for component in connected_components(doc, model.config.gap):
                 # every assignment's exp(score - log Z), log Z from the chain
                 lists = [index.fast_search(m.surface, 5) for m in component.mentions]
-                states = ChainStates(extractor.component_chain(component, lists, view))
-                log_z, _ = states.log_z_and_expectation(model.weights)
+                batch = ChainBatch([extractor.component_chain(component, lists, view)])
+                (log_z,), _ = batch.expectation(model.weights)
                 assignments = enumerate_tuples(component, index, 5)
                 matrix = oracle_features(extractor, component, assignments, view)
                 probs = np.exp(matrix @ model.weights - log_z)

@@ -18,8 +18,9 @@ UNREAD_SPANS = {
     "features.FeatureExtractor.tuple_features",
 }
 # Per-layer counts that read 0 if features stop calling a traced function,
-# or the workload stops reaching KB candidates.
-MUST_COUNT = ("text_vsm.cosine_calls", "features.distinct_candidate_entities")
+# the workload stops reaching KB candidates, or training stops evaluating the
+# objective through `maxent.cll_objective`.
+MUST_COUNT = ("text_vsm.cosine_calls", "features.distinct_candidate_entities", "maxent.cll_objective_calls")
 
 
 @pytest.mark.parametrize("workload", ["bulk", "collective"])

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     enumerate_tuples,
     oracle_argmax,
+    oracle_cll,
     oracle_features,
     oracle_log_z,
     random_boolean_kb,
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from entlink.config import PipelineConfig
 from entlink.features import FeatureExtractor, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans, toy_index
-from entlink.maxent import Model, build_training_instances, cll_objective, decode, train
+from entlink.maxent import ChainBatch, Model, TrainingBatch, build_training_instances, cll_objective, decode, train
 from entlink.segmenter import connected_components
 
 K = 3
@@ -52,6 +53,20 @@ def oracle(index, doc):
     (component,) = connected_components(doc, CONFIG.gap)
     assignments = enumerate_tuples(component, index, K)
     return component, assignments, oracle_features(extractor, component, assignments, extractor.document_view(doc))
+
+
+def gold_row(component, assignments) -> int:
+    """The position of the component's gold assignment in `assignments`."""
+    return [tuple(c.entity_id for c in a) for a in assignments].index(tuple(m.gold for m in component.mentions))
+
+
+def multi_component_doc(rng: random.Random, n_mentions: list[int]):
+    """One document holding a `random_chain_doc` component of each length,
+    set apart by more than `CONFIG.gap` filler tokens."""
+    parts = [random_chain_doc(rng, "part", n) for n in n_mentions]
+    filler = " ".join(["filler"] * (CONFIG.gap + 1))
+    spans = [(f"c{j}m{i}", m.surface, m.gold) for j, part in enumerate(parts) for i, m in enumerate(part.mentions)]
+    return doc_from_spans("multi", f" {filler} ".join(part.text for part in parts), spans)
 
 
 def test_random_components_set_boolean_features():
@@ -100,19 +115,108 @@ def test_log_z_objective_and_gradient_equal_oracle(seed, n_mentions):
     extractor = FeatureExtractor(index, PmiTable(), REGISTRY)
     (inst,), _ = build_training_instances([doc], index, extractor, CONFIG)
     component, assignments, features = oracle(index, doc)
-    gold = [tuple(c.entity_id for c in a) for a in assignments].index(tuple(m.gold for m in component.mentions))
+    log_z = oracle_log_z(features @ weights)
+    value, grad = oracle_cll([(features, gold_row(component, assignments))], weights, sigma)
 
-    scores = features @ weights
-    log_z = oracle_log_z(scores)
-    probs = np.exp(scores - log_z)
-    value = scores[gold] - log_z - sigma * float(weights @ weights)
-    grad = features[gold] - probs @ features - 2 * sigma * weights
-
-    got_log_z, _ = inst.states.log_z_and_expectation(weights)
-    got_value, got_grad = cll_objective(weights, [inst], sigma)
+    (got_log_z,), _ = ChainBatch([inst.chain]).expectation(weights)
+    got_value, got_grad = cll_objective(weights, TrainingBatch([inst]), sigma)
     assert got_log_z == pytest.approx(log_z, rel=1e-9)
     assert got_value == pytest.approx(value, rel=1e-9)
     np.testing.assert_allclose(got_grad, grad, rtol=1e-9, atol=1e-9 * max(1.0, float(np.abs(grad).max())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 4), max_size=5))
+@example(seed=0, lengths=[])
+def test_batched_objective_equals_sum_of_per_chain_oracles(seed, lengths):
+    """A batch of up to five chains, each of 1 to 4 mentions with up to K
+    candidates: one `cll_objective` evaluation over all of them equals the
+    brute-force objective summed chain by chain, in any chain order."""
+    rng = random.Random(seed)
+    index = random_boolean_kb(rng)
+    docs = [random_chain_doc(rng, f"d{j}", n, index=index, k=K) for j, n in enumerate(lengths)]
+    weights = make_weights(rng, "normal")
+    sigma = 0.5
+    instances, _ = build_training_instances(docs, index, FeatureExtractor(index, PmiTable(), REGISTRY), CONFIG)
+    components = []
+    for doc in docs:
+        component, assignments, features = oracle(index, doc)
+        components.append((features, gold_row(component, assignments)))
+
+    value, grad = cll_objective(weights, TrainingBatch(instances), sigma)
+    want_value, want_grad = oracle_cll(components, weights, sigma)
+    assert value == pytest.approx(want_value, rel=1e-9)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9 * max(1.0, float(np.abs(want_grad).max())))
+    shuffled = rng.sample(instances, len(instances))
+    assert cll_objective(weights, TrainingBatch(shuffled), sigma)[0] == pytest.approx(value, rel=1e-12, abs=1e-12)
+    if not instances:
+        assert value == -sigma * float(weights @ weights)
+
+
+def decode_alone_and_batched(chains, ids, weights):
+    """Each chain decoded in a batch of its own, and all in one batch."""
+    return [ChainBatch([c]).decode(weights, [i])[0] for c, i in zip(chains, ids)], ChainBatch(chains).decode(weights, ids)
+
+
+def assert_same_decode(alone, batched):
+    assert [choice for choice, _ in batched] == [choice for choice, _ in alone]
+    for (_, got), (_, want) in zip(batched, alone):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    kind=st.sampled_from(["normal", "integral", "zero"]),
+)
+def test_multi_component_document_decodes_as_one_batch(seed, lengths, kind):
+    """`decode` runs a document's components as one batch: each component
+    gets the entity ids, and a score within 1e-12, that it gets decoded
+    alone."""
+    rng = random.Random(seed)
+    index = random_boolean_kb(rng)
+    doc = multi_component_doc(rng, lengths)
+    model = Model(make_weights(rng, kind), REGISTRY, PmiTable(), CONFIG)
+    extractor = model.extractor(index)
+    view = extractor.document_view(doc)
+    components = connected_components(doc, CONFIG.gap)
+    assert [len(c.mentions) for c in components] == lengths
+    lists = [[index.fast_search(m.surface, K) for m in c.mentions] for c in components]
+    chains = [extractor.component_chain(c, ls, view) for c, ls in zip(components, lists)]
+    ids = [[[c.entity_id for c in lst] for lst in ls] for ls in lists]
+    alone, batched = decode_alone_and_batched(chains, ids, model.weights)
+    assert_same_decode(alone, batched)
+    predictions = decode(model, doc, index, extractor=extractor)
+    assert [(p.entity_id, p.score) for p in predictions] == [
+        (lst[j].entity_id, score) for ls, (choice, score) in zip(lists, batched) for lst, j in zip(ls, choice)
+    ]
+
+
+@pytest.mark.parametrize("seed, n_mentions", [(118, 5), (597, 3)])
+def test_near_ties_decode_alike_alone_and_batched(seed, n_mentions):
+    """The near-tie components of `test_decode_equals_oracle_argmax`, each
+    batched after a random component and before a copy of itself, keep the
+    oracle's choice."""
+    rng = random.Random(seed)
+    index = random_boolean_kb(rng)
+    doc = random_chain_doc(rng, "d", n_mentions)
+    weights = make_weights(rng, "normal")
+    extractor = FeatureExtractor(index, PmiTable(), REGISTRY)
+    other = random_chain_doc(rng, "other", 3)
+    chains, ids = [], []
+    for d in (other, doc, doc):
+        (component,) = connected_components(d, CONFIG.gap)
+        lists = [index.fast_search(m.surface, K) for m in component.mentions]
+        chains.append(extractor.component_chain(component, lists, extractor.document_view(d)))
+        ids.append([[c.entity_id for c in lst] for lst in lists])
+    alone, batched = decode_alone_and_batched(chains, ids, weights)
+    assert_same_decode(alone, batched)
+    _, assignments, features = oracle(index, doc)
+    scores = [sum(float(w) * float(f) for w, f in zip(weights, row)) for row in features]
+    want = oracle_argmax(assignments, scores)
+    for (choice, _), chain_ids in zip(batched[1:], ids[1:]):
+        assert tuple(mention[j] for mention, j in zip(chain_ids, choice)) == want
 
 
 def test_thirty_adjacent_mentions_decode_and_train_fast():

@@ -616,18 +616,19 @@ class TestSelfcheck:
             assert lines == [f"selfcheck {name}: ok" for name in SELFCHECKS]
 
     def test_selfcheck_catches_a_wrong_decode(self, monkeypatch, capsys):
-        from entlink.maxent import ChainStates
+        from entlink.maxent import ChainBatch
         from entlink.selfcheck import run_selfcheck
 
-        decode = ChainStates.decode
+        decode = ChainBatch.decode
 
         def wrong_choice(self, weights, ids):
-            # move the first mention off its decoded candidate
-            choice, probability = decode(self, weights, ids)
-            choice[0] = (choice[0] + 1) % self.chain.sizes[0]
-            return choice, probability
+            # move each chain's first mention off its decoded candidate
+            decoded = decode(self, weights, ids)
+            for chain, (choice, _) in zip(self.chains, decoded):
+                choice[0] = (choice[0] + 1) % chain.sizes[0]
+            return decoded
 
-        monkeypatch.setattr(ChainStates, "decode", wrong_choice)
+        monkeypatch.setattr(ChainBatch, "decode", wrong_choice)
         assert run_selfcheck(0) >= 1
         assert "selfcheck decode-vs-brute-force: FAILED" in capsys.readouterr().out
 

@@ -28,9 +28,10 @@ from entlink.fixtures import home_depot_document, toy_documents, toy_index
 from entlink.kb_store import NIL, Candidate, FormatVersionError, build_index
 from entlink.maxent import (
     MODEL_FORMAT_VERSION,
-    ChainStates,
+    ChainBatch,
     Model,
     Prediction,
+    TrainingBatch,
     TrainingError,
     TrainingInstance,
     build_training_instances,
@@ -60,10 +61,10 @@ class TestSoftmax:
     assignment's score over all assignments."""
 
     def test_tuple_probability(self):
-        states = ChainStates(single_mention_chain([[1.0, 0.0], [0.0, 0.0]]))
+        batch = ChainBatch([single_mention_chain([[1.0, 0.0], [0.0, 0.0]])])
         weights = np.array([1.0, 0.0])
         e = math.e
-        choice, probability = states.decode(weights, [["A", "B"]])
+        ((choice, probability),) = batch.decode(weights, [[["A", "B"]]])
         assert choice == [0]
         assert probability == pytest.approx(e / (e + 1))
 
@@ -71,13 +72,13 @@ class TestSoftmax:
 class TestObjective:
     def test_zero_weights_uniform_log_likelihood(self):
         chain = single_mention_chain(np.ones((4, 3)))
-        inst = TrainingInstance(ChainStates(chain), chain.assignment_features([2]))
-        value, _ = cll_objective(np.zeros(3), [inst], sigma=0.5)
+        inst = TrainingInstance(chain, chain.assignment_features([2]))
+        value, _ = cll_objective(np.zeros(3), TrainingBatch([inst]), sigma=0.5)
         assert value == pytest.approx(math.log(1 / 4), abs=1e-12)
 
     def test_empty_data_is_pure_regularizer(self):
         w = np.array([1.0, -2.0, 3.0])
-        value, grad = cll_objective(w, [], sigma=0.5)
+        value, grad = cll_objective(w, TrainingBatch([]), sigma=0.5)
         assert value == pytest.approx(-0.5 * float(w @ w))
         assert np.allclose(grad, -2 * 0.5 * w)
 
@@ -85,19 +86,19 @@ class TestObjective:
         rng = np.random.default_rng(5)
         inst = random_chain_instance(rng)
         w = rng.normal(size=10)
-        _, grad = cll_objective(w, [inst], sigma=0.5)
+        _, grad = cll_objective(w, TrainingBatch([inst]), sigma=0.5)
         fd = fd_gradient(w, [inst], sigma=0.5)
         rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full(10, 1e-8)])
         assert np.max(rel) < 1e-5
 
     def test_concavity_probe(self):
         rng = np.random.default_rng(9)
-        instances = [random_chain_instance(rng) for _ in range(3)]
+        batch = TrainingBatch([random_chain_instance(rng) for _ in range(3)])
         w = rng.normal(size=10)
         for _ in range(10):
             direction = rng.normal(size=10)
             g = {
-                alpha: cll_objective(w + alpha * direction, instances, 0.5)[0]
+                alpha: cll_objective(w + alpha * direction, batch, 0.5)[0]
                 for alpha in (-0.1, 0.0, 0.1)
             }
             assert g[0.0] >= (g[-0.1] + g[0.1]) / 2 - 1e-9
@@ -109,7 +110,7 @@ class TestFitWeights:
         instances = [random_chain_instance(rng) for _ in range(5)]
         weights, trace, converged = fit_weights(instances, sigma=0.5, dim=10)
         assert converged
-        _, grad = cll_objective(weights, instances, 0.5)
+        _, grad = cll_objective(weights, TrainingBatch(instances), 0.5)
         assert np.max(np.abs(grad)) <= 1e-6
         for earlier, later in zip(trace, trace[1:]):
             assert later >= earlier - 1e-12
@@ -130,8 +131,8 @@ class TestFitWeights:
         # one evaluation per point the optimizer asked for, none repeated
         assert not any(np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
         assert len(evaluated) <= len(trace) - 1 + 5
-        assert trace[0] == cll_objective(np.zeros(10), instances, 0.5)[0]
-        assert trace[-1] == cll_objective(weights, instances, 0.5)[0]
+        assert trace[0] == cll_objective(np.zeros(10), TrainingBatch(instances), 0.5)[0]
+        assert trace[-1] == cll_objective(weights, TrainingBatch(instances), 0.5)[0]
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
@@ -139,7 +140,7 @@ class TestFitWeights:
 
     def test_non_finite_objective_aborts(self):
         chain = single_mention_chain([[np.nan, 1.0], [0.0, 0.0]])
-        bad = TrainingInstance(ChainStates(chain), chain.assignment_features([0]))
+        bad = TrainingInstance(chain, chain.assignment_features([0]))
         with pytest.raises(TrainingError):
             fit_weights([bad], sigma=0.5, dim=2)
 
@@ -200,23 +201,22 @@ class TestDecode:
     def test_constant_feature_leaves_argmax_unchanged(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            states = random_chain_instance(rng).states
-            ids = [sorted(rng.choice(["A", "B", "C", "D", NIL], size=k, replace=False)) for k in states.chain.sizes]
+            chain = random_chain_instance(rng).chain
+            ids = [sorted(rng.choice(["A", "B", "C", "D", NIL], size=k, replace=False)) for k in chain.sizes]
             weights = rng.normal(size=10)
             # a feature equal to 1 at every candidate of the first mention
             # adds its weight to every assignment's score
-            constant = np.zeros(states.chain.features.shape[0])
-            constant[: states.chain.sizes[0]] = 1.0
-            chain = states.chain
-            shifted = ChainStates(ComponentChain(
+            constant = np.zeros(chain.features.shape[0])
+            constant[: chain.sizes[0]] = 1.0
+            shifted = ComponentChain(
                 sizes=chain.sizes,
                 features=np.column_stack([chain.features, constant]),
                 pairs=tuple(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=2) for p in chain.pairs),
                 bits=chain.bits,
                 mask_features=np.column_stack([chain.mask_features, np.zeros(len(chain.mask_features))]),
-            ))
-            before, _ = states.decode(weights, ids)
-            after, _ = shifted.decode(np.append(weights, 3.7), ids)
+            )
+            ((before, _),) = ChainBatch([chain]).decode(weights, [ids])
+            ((after, _),) = ChainBatch([shifted]).decode(np.append(weights, 3.7), [ids])
             assert before == after
 
     def test_cjk_documents_link_via_context(self):
