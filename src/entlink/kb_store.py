@@ -5,6 +5,15 @@ with occurrence counts aggregated over the whole KB. A built index is
 immutable and safe to share between concurrent readers; construction is
 single-writer. Building one, which loading one does too, pauses the
 process-wide cyclic garbage collector and restores its state afterwards.
+
+An index file (format 4) is the header, `ELIX` and the format number, then
+one zlib stream holding the KB entries in id order, cut into groups of
+`_GROUP_SIZE`. Each group is six lines, each a compact JSON array with one
+value per entry: the ids, the titles, the texts, the sorted categories, the
+sorted redirects, and the links flattened to `[anchor, target, ...]` in
+record order. Laid out by column, the body deflates smaller than one record
+per line, so a cheap deflate level still makes a smaller file. Everything
+else in the index is derived again on load.
 """
 
 from __future__ import annotations
@@ -21,7 +30,9 @@ import zlib
 from collections import Counter, defaultdict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .text_vsm import words
 
@@ -37,8 +48,9 @@ def is_nil_label(label: str) -> bool:
 
 
 _INDEX_MAGIC = b"ELIX"
-INDEX_FORMAT_VERSION = 3
-_ZLIB_HEADER = b"\x78\x9c"  # deflate, 32 KiB window, default level
+INDEX_FORMAT_VERSION = 4
+_ZLIB_HEADER = b"\x78\x5e"  # deflate, 32 KiB window, levels 2 to 5
+_GROUP_SIZE = 1024  # entries per group of column lines
 _WINDOW = 1 << 15  # deflate's history: each block is primed with this much body
 _BLOCK_SIZE = 1 << 20  # body bytes per deflate task
 _CHUNK_SIZE = 1 << 18  # compressed bytes read, and at most as many inflated, per step
@@ -87,43 +99,11 @@ class KbEntry:
     @staticmethod
     def from_record(record: dict) -> "KbEntry":
         """Build an entry from one parsed KB record, validating required fields."""
-        if not isinstance(record, dict):
-            raise KbError(f"KB record must be a JSON object, not {type(record).__name__}")
-        try:
-            eid = record["id"]
-            title = record["title"]
-            text = record["text"]
-        except KeyError as exc:
-            raise KbError(f"KB record missing field {exc}") from None
-        if not isinstance(eid, str) or not eid:
-            raise KbError("KB record id must be a non-empty string")
-        if is_nil_label(eid):
-            raise KbError(f"KB id {eid!r} is reserved for NIL labels")
-        if not isinstance(title, str) or not isinstance(text, str):
-            raise KbError(f"entry {eid!r}: 'title' and 'text' must be strings")
-        names = {}
-        for key in ("categories", "redirects"):
-            value = record.get(key, [])
-            if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-                raise KbError(f"entry {eid!r}: {key!r} must be a list of strings")
-            names[key] = frozenset(value) if value else _NO_NAMES
-        links = record.get("links", [])
-        if not isinstance(links, list):
-            raise KbError(f"entry {eid!r}: 'links' must be a list")
-        try:
-            outlinks = tuple([(link["anchor"], link["target"]) for link in links])
-        except (KeyError, TypeError):
-            raise KbError(f"entry {eid!r}: links need 'anchor' and 'target'") from None
-        if not all(isinstance(a, str) and isinstance(t, str) for a, t in outlinks):
-            raise KbError(f"entry {eid!r}: a link's 'anchor' and 'target' must be strings")
-        return KbEntry(
-            id=eid,
-            title=title,
-            text=text,
-            categories=names["categories"],
-            outlinks=outlinks,
-            redirects=names["redirects"],
-        )
+        values = _record_values(record)
+        fault = next(_faults([[value] for value in values]), None)
+        if fault is not None:
+            raise KbError(fault[2])
+        return _entry(*values)
 
     def to_record(self) -> dict:
         return {
@@ -234,7 +214,7 @@ class AnchorIndex:
 
     def to_bytes(self) -> bytes:
         """Serialize to a versioned binary blob: the header, then one zlib
-        stream of the canonical KB record lines in id order.
+        stream of the entries' column lines, group by group in id order.
 
         The body is cut into fixed `_BLOCK_SIZE` blocks at byte offsets, and
         the blocks are deflated on a thread pool as the lines are made, a few
@@ -244,10 +224,11 @@ class AnchorIndex:
         structures are rebuilt on load, so equal KBs serialize to
         byte-identical blobs.
         """
+        ids = sorted(self.entries)
         lines = (
-            (json.dumps(self.entries[eid].to_record(), sort_keys=True, ensure_ascii=False,
-                        separators=(",", ":")) + "\n").encode("utf-8")
-            for eid in sorted(self.entries)
+            (json.dumps(column, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+            for start in range(0, len(ids), _GROUP_SIZE)
+            for column in _columns([self.entries[eid] for eid in ids[start:start + _GROUP_SIZE]])
         )
         blob = bytearray(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + _ZLIB_HEADER)
         checksum = zlib.adler32(b"")
@@ -269,11 +250,11 @@ class AnchorIndex:
         """Rebuild an index from `to_bytes` output, or from any blob of the
         same format, however its zlib stream was deflated.
 
-        The body is inflated a chunk at a time and its lines go to the record
-        reader as they come, so it is never held whole. A corrupt stream
-        (damaged, truncated, or followed by more bytes) or an incompatible
-        blob raises FormatVersionError, an invalid record KbError naming its
-        line.
+        The body is inflated a chunk at a time and its column lines go to the
+        group reader as they come, so it is never held whole. A corrupt
+        stream (damaged, truncated, or followed by more bytes) or an
+        incompatible blob raises FormatVersionError, an invalid group KbError
+        naming its line.
         """
         if blob[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
             raise FormatVersionError("not an anchor-index file")
@@ -282,12 +263,14 @@ class AnchorIndex:
         except struct.error as exc:
             raise FormatVersionError(f"corrupt anchor-index file ({exc})") from None
         if version != INDEX_FORMAT_VERSION:
-            raise FormatVersionError(f"index format version {version}, expected {INDEX_FORMAT_VERSION}")
+            raise FormatVersionError(
+                f"index format version {version}, expected {INDEX_FORMAT_VERSION}; rebuild it with build-index"
+            )
         lines = _body_lines(memoryview(blob)[len(_INDEX_MAGIC) + 4:])
         try:
-            return build_index(_read_entries(lines, "anchor-index body"))
+            return build_index(_read_groups(lines, "anchor-index body"))
         except KbError:
-            # A damaged stream can inflate to a bad record before its checksum
+            # A damaged stream can inflate to a bad group before its checksum
             # is read: finish the stream, so that damage is reported as such.
             for _ in lines:
                 pass
@@ -351,57 +334,81 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
         entries[record.id] = record
 
     ids = sorted(entries)
+    outlinks = [entries[eid].outlinks for eid in ids]
+    anchors = [anchor for links in outlinks for anchor, _ in links]
+    targets = [target for links in outlinks for _, target in links]
+    titles = [entries[eid].title for eid in ids]
+    aliases = [(alias, eid) for eid in ids for alias in entries[eid].redirects]
+    unresolved = set(targets) - entries.keys()
+    keys = {name: normalize_name(name) for name in {*titles, *anchors, *unresolved, *(a for a, _ in aliases)}}
+
     # Titles claim normalized names first, then redirects; within each pass
     # the smallest entity id wins, which makes the map order-independent.
     redirect_map: dict[str, str] = {}
-    for eid in ids:
-        key = normalize_name(entries[eid].title)
-        if key and key not in redirect_map:
-            redirect_map[key] = eid
-    for eid in ids:
-        for alias in sorted(entries[eid].redirects):
-            key = normalize_name(alias)
-            if key and key not in redirect_map:
-                redirect_map[key] = eid
+    for name, eid in chain(zip(titles, ids), aliases):
+        redirect_map.setdefault(keys[name], eid)
+    redirect_map.pop("", None)
 
-    anchor_counts: dict[str, dict[str, int]] = {}
-    outlink_counts: dict[str, dict[str, int]] = {}
-    inlinks: dict[str, set[str]] = {}
-    dangling = 0
-    for eid in ids:
-        counts = outlink_counts[eid] = {}
-        for anchor, target in entries[eid].outlinks:
-            if target in entries:
-                resolved = target
+    resolve = {t: t if t in entries else redirect_map.get(keys[t]) for t in set(targets)}
+    resolved = list(map(resolve.__getitem__, targets))
+    # A link that resolves nowhere is posted under its raw target.
+    posted = {t: t if r is None else r for t, r in resolve.items()}
+
+    postings: dict[str, list[tuple[str, int]]] = {}
+    anchor_counts = Counter(zip(map(keys.__getitem__, anchors), map(posted.__getitem__, targets)))
+    for (akey, target), count in anchor_counts.items():
+        if akey:
+            plist = postings.get(akey)
+            if plist is None:
+                postings[akey] = [(target, count)]
             else:
-                resolved = redirect_map.get(normalize_name(target))
-            akey = normalize_name(anchor)
-            if akey:
-                per_entity = anchor_counts.get(akey)
-                if per_entity is None:
-                    per_entity = anchor_counts[akey] = {}
-                key = target if resolved is None else resolved
-                per_entity[key] = per_entity.get(key, 0) + 1
-            if resolved is None:
-                dangling += 1
-                continue
-            counts[resolved] = counts.get(resolved, 0) + 1
-            sources = inlinks.get(resolved)
-            if sources is None:
-                sources = inlinks[resolved] = set()
-            sources.add(eid)
+                plist.append((target, count))
+    for plist in postings.values():
+        if len(plist) > 1:
+            plist.sort(key=_posting_order)
 
-    postings = {
-        anchor: sorted(counts.items(), key=lambda ec: (-ec[1], ec[0]))
-        for anchor, counts in anchor_counts.items()
-    }
+    outlink_counts: dict[str, dict[str, int]] = {eid: {} for eid in ids}
+    inlinks: dict[str, set[str]] = {}
+    sources = chain.from_iterable(map(repeat, ids, map(len, outlinks)))
+    # Nearly every (source, target) pair is distinct, so counting them in
+    # place beats a Counter of pairs, and holds no pair.
+    for source, target in zip(sources, resolved):
+        if target is not None:
+            counts = outlink_counts[source]
+            if target in counts:
+                counts[target] += 1
+                continue
+            counts[target] = 1
+            linked = inlinks.get(target)
+            if linked is None:
+                inlinks[target] = {source}
+            else:
+                linked.add(source)
+
     return AnchorIndex(
         entries=entries,
         postings=postings,
-        inlinks={eid: frozenset(src) for eid, src in inlinks.items()},
+        inlinks={eid: frozenset(linked) for eid, linked in inlinks.items()},
         redirect_map=redirect_map,
         outlink_counts=outlink_counts,
-        dangling_links=dangling,
+        dangling_links=resolved.count(None),
+    )
+
+
+def _posting_order(entry: tuple[str, int]) -> tuple[int, str]:
+    """Descending count, then ascending id."""
+    return -entry[1], entry[0]
+
+
+def _columns(group: list[KbEntry]) -> tuple[list, ...]:
+    """The six columns of a group of entries, in `_FIELDS` order."""
+    return (
+        [e.id for e in group],
+        [e.title for e in group],
+        [e.text for e in group],
+        [sorted(e.categories) for e in group],
+        [sorted(e.redirects) for e in group],
+        [list(chain.from_iterable(e.outlinks)) for e in group],
     )
 
 
@@ -425,8 +432,9 @@ def _blocks(lines: Iterable[bytes]) -> Iterator[tuple[bytearray, bytearray, int]
 def _deflate_block(primer: bytes, block: bytes, mode: int) -> bytes:
     """One block as raw deflate data, ended by `mode`. It runs on a worker
     thread and calls zlib, which releases the interpreter lock, and nothing
-    else."""
-    packer = zlib.compressobj(6, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, primer)
+    else. Level 4 is the cheapest at which the columnar body still deflates
+    smaller than the record lines of format 3 did at level 6."""
+    packer = zlib.compressobj(4, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, primer)
     return packer.compress(block) + packer.flush(mode)
 
 
@@ -448,8 +456,9 @@ def _inflate(body: memoryview) -> Iterator[bytes]:
 
 
 def _body_lines(body: memoryview) -> Iterator[str]:
-    """The lines of a zlib stream of UTF-8 text, inflated and split as it goes;
-    a corrupt stream raises FormatVersionError once reached."""
+    """The lines of a zlib stream of UTF-8 text, inflated and split as it goes,
+    the last one also when no newline ends it; a corrupt stream raises
+    FormatVersionError once reached."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     partial: list[str] = []  # the pieces of a line that spans chunks
     try:
@@ -461,28 +470,166 @@ def _body_lines(body: memoryview) -> Iterator[str]:
                 partial.clear()
                 yield from lines
             partial.append(tail)
-        yield "".join(partial) + decoder.decode(b"", final=True)
+        tail = "".join(partial) + decoder.decode(b"", final=True)
+        if tail:
+            yield tail
     except (zlib.error, UnicodeDecodeError) as exc:
         raise FormatVersionError(f"corrupt anchor-index file ({type(exc).__name__}: {exc})") from None
 
 
-def _read_entries(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
-    """KB entries from JSON lines, skipping blank ones; a bad line raises
-    KbError prefixed with `source` and its line number."""
+# The fields of an entry, in the order of an index group's columns.
+_FIELDS = ("id", "title", "text", "categories", "redirects", "links")
+
+
+def _strings(values: Iterable) -> bool:
+    return set(map(type, values)) <= {str}
+
+
+def _string_lists(column: Sequence) -> bool:
+    return set(map(type, column)) <= {list} and _strings(chain.from_iterable(column))
+
+
+def _link_lists(column: Sequence) -> bool:
+    return _string_lists(column) and not any(len(links) % 2 for links in column)
+
+
+# The rule that every value of a field keeps, checked over a whole column at
+# once, and what a value that breaks it says.
+_RULES = {
+    "title": (_strings, "'title' and 'text' must be strings"),
+    "text": (_strings, "'title' and 'text' must be strings"),
+    "categories": (_string_lists, "'categories' must be a list of strings"),
+    "redirects": (_string_lists, "'redirects' must be a list of strings"),
+    "links": (_link_lists, "links must be pairs of an anchor and a target string"),
+}
+
+
+def _faults(columns: Sequence[Sequence]) -> Iterator[tuple[int, int, str]]:
+    """(column, row, message) of the first value to break its field's rule
+    in each column at fault, columns in `_FIELDS` order. The columns are
+    checked whole, and only one at fault is searched value by value."""
+    ids = columns[0]
+    if not _strings(ids) or "" in ids:
+        row = next(i for i, eid in enumerate(ids) if type(eid) is not str or not eid)
+        yield 0, row, "KB record id must be a non-empty string"
+    nil = next((i for i, eid in enumerate(ids) if type(eid) is str and eid[:3] == "NIL" and is_nil_label(eid)), None)
+    if nil is not None:
+        yield 0, nil, f"KB id {ids[nil]!r} is reserved for NIL labels"
+    for number, (name, column) in enumerate(zip(_FIELDS[1:], columns[1:]), start=1):
+        keeps, message = _RULES[name]
+        if not keeps(column):
+            row = next(i for i, value in enumerate(column) if not keeps([value]))
+            yield number, row, f"entry {ids[row]!r}: {message}"
+
+
+def _entry(eid: str, title: str, text: str, categories: list, redirects: list, links: list) -> KbEntry:
+    """An entry from field values that keep their rules, its links flat."""
+    pairs = iter(links)
+    return KbEntry(
+        id=eid,
+        title=title,
+        text=text,
+        categories=frozenset(categories) if categories else _NO_NAMES,
+        outlinks=tuple(zip(pairs, pairs)),
+        redirects=frozenset(redirects) if redirects else _NO_NAMES,
+    )
+
+
+_ANCHOR_TARGET = itemgetter("anchor", "target")
+
+
+def _record_values(record: dict) -> tuple:
+    """The field values of a parsed KB record, in `_FIELDS` order and its
+    links flattened, for `_faults` to check. Raises KbError for a record
+    that is not an object with an id, a title, a text and, if any, a list
+    of links that each have an anchor and a target."""
+    if not isinstance(record, dict):
+        raise KbError(f"KB record must be a JSON object, not {type(record).__name__}")
+    try:
+        eid = record["id"]
+        title = record["title"]
+        text = record["text"]
+    except KeyError as exc:
+        raise KbError(f"KB record missing field {exc}") from None
+    links = record.get("links", [])
+    if not isinstance(links, list):
+        raise KbError(f"entry {eid!r}: 'links' must be a list")
+    try:
+        flat = list(chain.from_iterable(map(_ANCHOR_TARGET, links)))
+    except (KeyError, TypeError):
+        raise KbError(f"entry {eid!r}: links need 'anchor' and 'target'") from None
+    return eid, title, text, record.get("categories", []), record.get("redirects", []), flat
+
+
+def _read_groups(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
+    """KB entries from the column lines of an index body, group by group; a
+    bad line raises KbError prefixed with `source` and its line number."""
+    seen: set[str] = set()
+    group: list[list] = []
+    lineno = 0
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            entry = KbEntry.from_record(json.loads(line))
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise KbError(f"{source}:{lineno}: invalid JSON ({exc})") from None
+            try:
+                column = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise KbError(f"invalid JSON ({exc})") from None
+            name = _FIELDS[len(group)]
+            if type(column) is not list:
+                raise KbError(f"the {name} column must be a JSON array, not {type(column).__name__}")
+            if group and len(column) != len(group[0]):
+                raise KbError(f"the {name} column has {len(column)} values for {len(group[0])} ids")
         except KbError as exc:
             raise KbError(f"{source}:{lineno}: {exc}") from None
-        yield entry
+        group.append(column)
+        if len(group) < len(_FIELDS):
+            continue
+        first = lineno - len(_FIELDS) + 1
+        fault = next(_faults(group), None)
+        if fault is not None:
+            raise KbError(f"{source}:{first + fault[0]}: {fault[2]}")
+        for eid in group[0]:
+            if eid in seen:
+                raise KbError(f"{source}:{first}: duplicate KB id {eid!r}")
+            seen.add(eid)
+        yield from map(_entry, *group)
+        group = []
+    if group:
+        raise KbError(f"{source}:{lineno}: the body ends after {len(group)} of a group's {len(_FIELDS)} lines")
+
+
+def _checked_entries(rows: list[tuple], linenos: list[int], source: str) -> Iterator[KbEntry]:
+    """Entries from the field values of records, checked a column at a time;
+    the first record at fault raises KbError prefixed with `source` and its
+    line number."""
+    if not rows:
+        return
+    columns = tuple(zip(*rows))
+    fault = min(_faults(columns), key=itemgetter(1), default=None)
+    if fault is not None:
+        raise KbError(f"{source}:{linenos[fault[1]]}: {fault[2]}")
+    yield from map(_entry, *columns)
 
 
 def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
-    """Stream KB entries from a line-delimited JSON file."""
+    """Stream KB entries from a line-delimited JSON file, skipping blank
+    lines. The records are checked `_GROUP_SIZE` at a time, and the first
+    bad line raises KbError prefixed with the path and its line number."""
+    rows: list[tuple] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
-        yield from _read_entries(fh, path)
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values = _record_values(json.loads(line))
+            except (json.JSONDecodeError, RecursionError, KbError) as exc:  # RecursionError: nested too deep
+                yield from _checked_entries(rows, linenos, path)  # an earlier bad record is reported first
+                detail = exc if isinstance(exc, KbError) else f"invalid JSON ({exc})"
+                raise KbError(f"{path}:{lineno}: {detail}") from None
+            rows.append(values)
+            linenos.append(lineno)
+            if len(rows) == _GROUP_SIZE:
+                yield from _checked_entries(rows, linenos, path)
+                rows, linenos = [], []
+    yield from _checked_entries(rows, linenos, path)

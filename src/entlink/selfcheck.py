@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from . import fixtures
+from . import fixtures, kb_store
 from .config import PipelineConfig
 from .features import LINK_RELATIONS, FeatureExtractor, count_contiguous, default_registry, train_pmi
 from .kb_store import build_index, normalize_name
@@ -187,6 +187,20 @@ def index_oracle(entries) -> dict:
     }
 
 
+def index_body_oracle(entries, group_size: int) -> list[list]:
+    """The column lines an index body holds for KB entries, each as its JSON
+    value, made from the entries' KB records: sorted by id, then for each
+    group of `group_size` the ids, titles, texts, categories, redirects and
+    links flattened to [anchor, target, ...]."""
+    records = sorted((e.to_record() for e in entries), key=lambda r: r["id"])
+    columns = []
+    for start in range(0, len(records), group_size):
+        group = records[start:start + group_size]
+        columns += [[r[name] for r in group] for name in ("id", "title", "text", "categories", "redirects")]
+        columns.append([[v for link in r["links"] for v in (link["anchor"], link["target"])] for r in group])
+    return columns
+
+
 def _fixture_documents():
     """The toy documents plus one four-mention component with gold labels."""
     chain_doc = fixtures.doc_from_spans(
@@ -287,12 +301,12 @@ def _check_index_determinism(seed: int) -> None:
     blob_a = build_index(entries).to_bytes()
     blob_b = build_index(shuffled).to_bytes()
     assert blob_a == blob_b, "serialized index depends on record order"
-    # zlib's one-shot inflater, not the index reader, is the oracle of the body.
-    lines = [
-        json.dumps(e.to_record(), sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
-        for e in sorted(entries, key=lambda e: e.id)
-    ]
-    assert zlib.decompress(blob_a[8:]) == "".join(lines).encode("utf-8"), "index body is not the record lines"
+    # zlib's one-shot inflater and the JSON parser, not the index reader,
+    # read the body back.
+    lines = zlib.decompress(blob_a[8:]).decode("utf-8").split("\n")
+    assert lines.pop() == "", "the index body does not end with a newline"
+    columns = [json.loads(line) for line in lines]
+    assert columns == index_body_oracle(entries, kb_store._GROUP_SIZE), "index body is not the canonical groups"
     index = build_index(entries)
     for name, value in index_oracle(entries).items():
         assert getattr(index, name) == value, f"index {name} differs from the brute-force oracle"

@@ -2,21 +2,26 @@
 brute-force oracles of the program live in `entlink.selfcheck` and are
 re-exported here."""
 
+import json
 import random
+import struct
 import unicodedata
+import zlib
 
 import numpy as np
 
 from entlink.config import PipelineConfig
 from entlink.features import ComponentChain, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans
-from entlink.kb_store import KbEntry, build_index
+from entlink import kb_store
+from entlink.kb_store import INDEX_FORMAT_VERSION, KbEntry, build_index
 from entlink.maxent import Model, TrainingInstance
 from entlink.segmenter import MentionDocument
 from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     closure_oracle,
     enumerate_tuples,
     fd_gradient,
+    index_body_oracle,
     index_oracle,
     oracle_argmax,
     oracle_cll,
@@ -43,6 +48,53 @@ DAMAGE = {
     "checksum-cut": lambda blob: blob[:-4],
     "flipped": _invert_a_late_byte,
     "appended": lambda blob: blob + b"\0",
+}
+
+
+# -- index bodies, well-formed and malformed ------------------------------------------
+
+
+def canonical_lines(entries):
+    """The column lines of the index body of the entries, at the current
+    group size, without their newlines."""
+    return [
+        json.dumps(column, ensure_ascii=False, separators=(",", ":"))
+        for column in index_body_oracle(entries, kb_store._GROUP_SIZE)
+    ]
+
+
+def index_blob(lines):
+    """An index file whose body is the given lines, deflated in one serial
+    `zlib.compress` pass."""
+    body = "".join(line + "\n" for line in lines).encode("utf-8")
+    return b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6)
+
+
+def _replaced(lines, number, column):
+    """The lines with line `number` (from 1) replaced by a JSON value, or by
+    raw text if `column` is a str."""
+    text = column if isinstance(column, str) else json.dumps(column)
+    return lines[: number - 1] + [text] + lines[number:]
+
+
+def _column(lines, number):
+    return json.loads(lines[number - 1])
+
+
+# Ways to break the body of a KB of at least three entries cut into groups of
+# two: each edits the canonical lines, and the reader must reject the result
+# naming the line given and saying what the message pattern matches.
+MALFORMED_BODIES = {
+    "truncated": (lambda ls: _replaced(ls, 2, ls[1][:-1]), 2, "invalid JSON"),
+    "no-title": (lambda ls: _replaced(ls, 2, _column(ls, 2)[:1]), 2, "the title column has 1 values for 2 ids"),
+    "title-number": (lambda ls: _replaced(ls, 2, [5] + _column(ls, 2)[1:]), 2, "'title' and 'text' must be strings"),
+    "array": (lambda ls: _replaced(ls, 3, {"text": "x"}), 3, "the text column must be a JSON array, not dict"),
+    "category-number": (lambda ls: _replaced(ls, 4, [[5]] + _column(ls, 4)[1:]), 4, "'categories' must be a list"),
+    "odd-links": (lambda ls: _replaced(ls, 6, [links + ["X"] for links in _column(ls, 6)]), 6, "links must be pairs"),
+    "empty-id": (lambda ls: _replaced(ls, 7, [""] + _column(ls, 7)[1:]), 7, "id must be a non-empty string"),
+    "nil-id": (lambda ls: _replaced(ls, 7, ["NIL7"] + _column(ls, 7)[1:]), 7, "'NIL7' is reserved for NIL labels"),
+    "duplicate-id": (lambda ls: _replaced(ls, 7, _column(ls, 1)[:1] + _column(ls, 7)[1:]), 7, "duplicate KB id"),
+    "group-cut-short": (lambda ls: ls[:10], 10, "the body ends after 4 of a group's 6 lines"),
 }
 
 

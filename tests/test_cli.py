@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from conftest import DAMAGE, synthetic_corpus
+from conftest import DAMAGE, MALFORMED_BODIES, canonical_lines, index_blob, synthetic_corpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -335,15 +336,14 @@ class TestCorruptArtifacts:
         assert any(r.getMessage().startswith(f"{index}: corrupt anchor-index file") for r in caplog.records)
 
     def test_bad_index_record_names_the_file(self, toy_artifacts, tmp_path):
-        """`entlink link` reports a bad record inside an index with the
-        index's path and the record's line, and no traceback."""
+        """`entlink link` reports a bad group inside an index with the
+        index's path and the column's line, and no traceback."""
         for name, blob in toy_artifacts.items():
             (tmp_path / name).write_bytes(blob)
-        lines = [json.dumps(e.to_record()) for e in toy_kb_entries()]
-        lines[1] = '{"id": "X", "text": ""}'
-        body = "".join(line + "\n" for line in lines).encode("utf-8")
+        lines = canonical_lines(toy_kb_entries())
+        lines[1] = json.dumps(json.loads(lines[1])[1:])
         bad = tmp_path / "bad.idx"
-        bad.write_bytes(b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6))
+        bad.write_bytes(index_blob(lines))
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "entlink.cli", "link", "--model", str(tmp_path / "model.json"),
@@ -351,26 +351,48 @@ class TestCorruptArtifacts:
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1
-        assert f"{bad}: anchor-index body:2: KB record missing field 'title'" in proc.stderr
+        assert f"{bad}: anchor-index body:2: the title column has 6 values for 7 ids" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", MALFORMED_BODIES)
+    def test_malformed_index_body_exits_1(self, toy_artifacts, tmp_path, caplog, monkeypatch, case):
+        """Each way to break an index body exits 1 with a diagnostic that
+        names the file and the line."""
+        monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
+        for name, blob in toy_artifacts.items():
+            (tmp_path / name).write_bytes(blob)
+        edit, lineno, message = MALFORMED_BODIES[case]
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(index_blob(edit(canonical_lines(toy_kb_entries()))))
+        code = run(["link", "--model", str(tmp_path / "model.json"), "--index", str(bad),
+                    "--in", str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        prefix = f"{bad}: anchor-index body:{lineno}: "
+        assert any(r.getMessage().startswith(prefix) and re.search(message, r.getMessage()) for r in caplog.records)
 
     @pytest.mark.parametrize(
         "target,version",
         [
             pytest.param("toy.idx", 1, id="toy.idx"),
             pytest.param("toy.idx", 2, id="toy.idx-format2"),
+            pytest.param("toy.idx", 3, id="toy.idx-format3"),
             pytest.param("model.json", 2, id="model.json"),
             pytest.param("model.json", 3, id="model.json-format3"),
         ],
     )
     def test_previous_format_exits_1(self, toy_artifacts, tmp_path, caplog, target, version):
         """A format-1 index (with max_candidates), a format-2 index (records
-        in one JSON object keyed by id), a format-2 model (with sigma beside
-        the config) or a format-3 model (with PMI category counts and
-        blacklist) is rejected, not read."""
+        in one JSON object keyed by id), a format-3 index (one KB record line
+        each), a format-2 model (with sigma beside the config) or a format-3
+        model (with PMI category counts and blacklist) is rejected, not read;
+        an index, with word to rebuild it."""
         for name, blob in toy_artifacts.items():
             (tmp_path / name).write_bytes(blob)
-        if target == "toy.idx":
+        if target == "toy.idx" and version == 3:
+            data = "".join(json.dumps(e.to_record(), sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+                           for e in sorted(toy_kb_entries(), key=lambda e: e.id))
+            old = b"ELIX" + struct.pack("<I", version) + zlib.compress(data.encode("utf-8"), 6)
+        elif target == "toy.idx":
             payload = {"entries": {e.id: e.to_record() for e in toy_kb_entries()}}
             if version == 1:
                 payload["max_candidates"] = 40
@@ -390,6 +412,10 @@ class TestCorruptArtifacts:
         assert code == 1
         assert any(r.getMessage().startswith(f"{tmp_path / target}: ") and "format version" in r.getMessage()
                    for r in caplog.records)
+        if target == "toy.idx":
+            expected = (f"{tmp_path / target}: index format version {version}, expected {INDEX_FORMAT_VERSION}; "
+                        "rebuild it with build-index")
+            assert expected in [r.getMessage() for r in caplog.records]
 
 
 def _doc(mention=None, **fields):

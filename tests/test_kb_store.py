@@ -2,12 +2,13 @@
 
 import gc
 import json
+import os
 import random
 import struct
 import zlib
 
 import pytest
-from conftest import DAMAGE, index_oracle
+from conftest import DAMAGE, MALFORMED_BODIES, canonical_lines, index_blob, index_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,19 +66,6 @@ def unusual_entries():
 
 def empty_entries():
     return []
-
-
-def canonical_lines(entries):
-    """The canonical record lines of the entries, in id order."""
-    records = sorted((e.to_record() for e in entries), key=lambda r: r["id"])
-    return [json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) for r in records]
-
-
-def index_blob(lines):
-    """An index file whose body is the given record lines, deflated in one
-    serial `zlib.compress` pass."""
-    body = "".join(line + "\n" for line in lines).encode("utf-8")
-    return b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress(body, 6)
 
 
 class TestNormalizeName:
@@ -215,6 +203,56 @@ def test_build_index_matches_the_oracle(entries, data):
     index = build_index(data.draw(st.permutations(entries)))
     for name, value in index_oracle(entries).items():
         assert getattr(index, name) == value, name
+
+
+# Characters a codec could mishandle: line and paragraph separators, NEL,
+# quotes, backslashes, an astral character, CJK, a combining mark, and
+# characters that normalization strips or folds.
+_CODEC_CHARS = st.sampled_from(["a", "B", " ", "_", "!", "\u2028", "\u2029", "\u0085", '"', "\\", "\n",
+                                "\U0001F600", "\u6771", "\u0301", "\u00df"])
+_CODEC_TEXT = st.text(_CODEC_CHARS, max_size=5)
+
+
+@st.composite
+def codec_kbs(draw):
+    """KBs with empty and odd titles, texts and names, and link targets that
+    are ids, redirect or title names, or dangle."""
+    ids = draw(st.lists(st.text(_CODEC_CHARS, min_size=1, max_size=3), unique=True, max_size=7))
+    names = st.sampled_from(ids) | _CODEC_TEXT if ids else _CODEC_TEXT
+    return [
+        KbEntry(
+            id=eid,
+            title=draw(_CODEC_TEXT),
+            text=draw(_CODEC_TEXT),
+            categories=frozenset(draw(st.lists(_CODEC_TEXT, max_size=3))),
+            outlinks=tuple(draw(st.lists(st.tuples(_CODEC_TEXT, names), max_size=5))),
+            redirects=frozenset(draw(st.lists(names, max_size=3))),
+        )
+        for eid in ids
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=codec_kbs(),
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 9)),
+    data=st.data(),
+)
+def test_codec_round_trip_matches_the_oracle(entries, sizes, data):
+    """Whatever the group, block and chunk sizes, a loaded index holds the
+    KB's entries and the oracle's derived fields, and its bytes depend on
+    neither the record order nor the worker count."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, size in zip(("_GROUP_SIZE", "_BLOCK_SIZE", "_CHUNK_SIZE"), sizes):
+            patch.setattr(kb_store, name, size)
+        blob = build_index(entries).to_bytes()
+        loaded = AnchorIndex.from_bytes(blob)
+        assert loaded.entries == {e.id: e for e in entries}
+        for name, value in index_oracle(entries).items():
+            assert getattr(loaded, name) == value, name
+        for workers in (1, 2, 5):
+            patch.setattr(os, "cpu_count", lambda: workers)
+            assert build_index(data.draw(st.permutations(entries))).to_bytes() == blob
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
@@ -371,31 +409,31 @@ class TestSerialization:
 
     @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries, empty_entries],
                              ids=["toy", "unusual", "empty"])
-    def test_body_is_a_kb_file(self, entries, tmp_path):
-        """The decompressed body is the canonical KB record lines in id
-        order, and `build-index` reads it back to the same index file."""
+    def test_body_is_the_canonical_groups(self, entries, tmp_path):
+        """The decompressed body is the canonical column lines, and the KB
+        records read back from its columns build the same index file."""
         blob = build_index(entries()).to_bytes()
-        body = zlib.decompress(blob[8:])
-        assert body.decode("utf-8").split("\n")[:-1] == canonical_lines(entries())
+        body = zlib.decompress(blob[8:]).decode("utf-8")
+        assert body.split("\n")[:-1] == canonical_lines(entries())
+        columns = [json.loads(line) for line in body.split("\n")[:-1]]
+        records = [
+            {"id": eid, "title": title, "text": text, "categories": categories, "redirects": redirects,
+             "links": [{"anchor": anchor, "target": target} for anchor, target in zip(links[::2], links[1::2])]}
+            for start in range(0, len(columns), 6)
+            for eid, title, text, categories, redirects, links in zip(*columns[start:start + 6])
+        ]
         path = tmp_path / "body.jsonl"
-        path.write_bytes(body)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert build_index(load_kb_jsonl(str(path))).to_bytes() == blob
 
-    @pytest.mark.parametrize(
-        "bad,message",
-        [
-            ('{"id": "X", "title": "X"', "invalid JSON"),
-            ('{"id": "X", "text": ""}', "missing field 'title'"),
-            ('{"id": "X", "title": 5, "text": ""}', "must be strings"),
-            ("[1, 2]", "must be a JSON object"),
-        ],
-        ids=["truncated", "no-title", "title-number", "array"],
-    )
-    def test_invalid_record_names_its_line(self, bad, message):
-        lines = [json.dumps(e.to_record()) for e in titanic_entries()]
-        lines[1] = bad
-        with pytest.raises(KbError, match=f"anchor-index body:2: .*{message}"):
-            AnchorIndex.from_bytes(index_blob(lines))
+    @pytest.mark.parametrize("case", MALFORMED_BODIES)
+    def test_invalid_record_names_its_line(self, case, monkeypatch):
+        """A malformed body raises KbError naming the line at fault."""
+        monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
+        edit, lineno, message = MALFORMED_BODIES[case]
+        blob = index_blob(edit(canonical_lines(titanic_entries())))
+        with pytest.raises(KbError, match=f"^anchor-index body:{lineno}: .*{message}"):
+            AnchorIndex.from_bytes(blob)
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_damaged_stream_is_rejected(self, damage):
@@ -406,21 +444,33 @@ class TestSerialization:
     def test_version_mismatch(self):
         blob = bytearray(toy_index().to_bytes())
         blob[4] = 99  # corrupt the little-endian version field
-        with pytest.raises(FormatVersionError):
+        expected = f"^index format version 99, expected {INDEX_FORMAT_VERSION}; rebuild it with build-index$"
+        with pytest.raises(FormatVersionError, match=expected):
             AnchorIndex.from_bytes(bytes(blob))
 
     def test_not_an_index_file(self):
         with pytest.raises(FormatVersionError):
             AnchorIndex.from_bytes(b"garbage bytes")
 
+    def test_one_block_is_a_level_4_stream(self):
+        """A body of one block is deflated as zlib does it at level 4, under
+        the zlib header of levels 2 to 5."""
+        blob = build_index(toy_kb_entries()).to_bytes()
+        body = "".join(line + "\n" for line in canonical_lines(toy_kb_entries())).encode("utf-8")
+        packer = zlib.compressobj(4, zlib.DEFLATED, 15, 9)
+        assert blob[8:] == packer.compress(body) + packer.flush()
+        assert blob[8:10] == b"\x78\x5e"
+
 
 @pytest.fixture(params=[(2, 1), (5, 3), (13, 7)], ids=lambda p: f"block{p[0]}-chunk{p[1]}")
 def small_blocks(request, monkeypatch):
-    """Deflate blocks and inflate chunks of a few bytes, so a small KB spans
-    many of each. Two-byte blocks and one-byte chunks cut every character of
-    three or more UTF-8 bytes (U+2028 among them) at a block boundary and
-    every multi-byte character at a chunk boundary. Returns the block size."""
+    """Groups of two entries, and deflate blocks and inflate chunks of a few
+    bytes, so a small KB spans many of each. Two-byte blocks and one-byte
+    chunks cut every character of three or more UTF-8 bytes (U+2028 among
+    them) at a block boundary and every multi-byte character at a chunk
+    boundary. Returns the block size."""
     block, chunk = request.param
+    monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
     monkeypatch.setattr(kb_store, "_BLOCK_SIZE", block)
     monkeypatch.setattr(kb_store, "_CHUNK_SIZE", chunk)
     return block
@@ -452,10 +502,13 @@ class TestBlocks:
 
     @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])
     def test_serial_stream_loads(self, entries, small_blocks):
-        """A body deflated in one serial pass, as earlier builds wrote it,
-        reads back chunk by chunk to the same records."""
-        blob = index_blob(canonical_lines(entries()))
-        assert AnchorIndex.from_bytes(blob).entries == build_index(entries()).entries
+        """A body deflated in one serial pass, by any zlib writer, reads back
+        chunk by chunk to the same entries, also without its last newline."""
+        lines = canonical_lines(entries())
+        expected = build_index(entries()).entries
+        assert AnchorIndex.from_bytes(index_blob(lines)).entries == expected
+        unended = b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + zlib.compress("\n".join(lines).encode(), 6)
+        assert AnchorIndex.from_bytes(unended).entries == expected
 
     @pytest.mark.parametrize("damage", DAMAGE)
     def test_damaged_stream_is_rejected(self, damage, small_blocks):
