@@ -3,8 +3,10 @@
 The index maps each distinct link anchor string to the entities it points at,
 with occurrence counts aggregated over the whole KB. A built index is
 immutable and safe to share between concurrent readers; construction is
-single-writer. Building one, which loading one does too, pauses the
-process-wide cyclic garbage collector and restores its state afterwards.
+single-writer. Building one, which loading one does too, and serializing
+one pause the process-wide cyclic garbage collector and restore its state
+afterwards. Each distinct id, anchor and target string, and each distinct set
+of category or redirect names, is held once however many entries use it.
 
 An index file (format 4) is the header, `ELIX` and the format number, then
 one zlib stream holding the KB entries in id order, cut into groups of
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import codecs
 import gc
+import io
 import json
 import math
 import os
@@ -29,6 +32,7 @@ import unicodedata
 import zlib
 from collections import Counter, defaultdict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
@@ -85,7 +89,7 @@ def normalize_name(name: str) -> str:
 _NO_NAMES: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KbEntry:
     """One KB entity: page text plus categories, outlinks and redirects."""
 
@@ -103,7 +107,7 @@ class KbEntry:
         fault = next(_faults([[value] for value in values]), None)
         if fault is not None:
             raise KbError(fault[2])
-        return _entry(*values)
+        return _entry(_memo(), *values)
 
     def to_record(self) -> dict:
         return {
@@ -137,14 +141,24 @@ class AnchorIndex:
     outlink_counts: dict[str, dict[str, int]]  # page id -> resolved target id -> link count
     dangling_links: int = 0
     _token_to_anchors: dict[str, list[str]] = field(init=False, repr=False)
-    _anchor_tokens: dict[str, frozenset[str]] = field(init=False, repr=False)
+    _anchor_tokens: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._anchor_tokens = {anchor: frozenset(words(anchor)) for anchor in sorted(self.postings)}
+        # Each anchor's token words in a tuple, one object per distinct
+        # token: all the sub-word lookup asks of them is to be a subset, and
+        # a tuple is lighter than a frozenset. An anchor that repeats a token
+        # is listed under it once.
+        tokens: dict[str, str] = {}
+        self._anchor_tokens = {}
+        for anchor in sorted(self.postings):
+            seq = words(anchor)
+            self._anchor_tokens[anchor] = tuple(map(tokens.setdefault, seq, seq))
         by_token: dict[str, list[str]] = defaultdict(list)
         for anchor, toks in self._anchor_tokens.items():
             for tok in toks:
-                by_token[tok].append(anchor)
+                listed = by_token[tok]
+                if not listed or listed[-1] is not anchor:
+                    listed.append(anchor)
         self._token_to_anchors = dict(by_token)
 
     # -- retrieval ----------------------------------------------------------
@@ -166,7 +180,7 @@ class AnchorIndex:
         # Subset anchors use only query tokens.
         for tok in query_tokens:
             for anchor in self._token_to_anchors.get(tok, []):
-                if self._anchor_tokens[anchor] <= query_tokens:
+                if query_tokens.issuperset(self._anchor_tokens[anchor]):
                     matched.add(anchor)
         matched.discard(key)
         merged: Counter[str] = Counter()
@@ -222,28 +236,33 @@ class AnchorIndex:
         body before it and ends on a byte boundary, so the blocks join into
         one ordinary zlib stream whatever the number of workers. Derived
         structures are rebuilt on load, so equal KBs serialize to
-        byte-identical blobs.
+        byte-identical blobs. The cyclic collector is paused meanwhile: the
+        lines are made and dropped as they go, so its passes would only
+        scan the index's objects and free nothing. The blob is gathered in
+        a `BytesIO`, whose `getvalue` hands its buffer over uncopied.
         """
-        ids = sorted(self.entries)
-        lines = (
-            (json.dumps(column, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-            for start in range(0, len(ids), _GROUP_SIZE)
-            for column in _columns([self.entries[eid] for eid in ids[start:start + _GROUP_SIZE]])
-        )
-        blob = bytearray(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + _ZLIB_HEADER)
-        checksum = zlib.adler32(b"")
-        workers = os.cpu_count() or 1
-        in_flight: deque[Future[bytes]] = deque()
-        with ThreadPoolExecutor(workers) as pool:
-            for primer, block, mode in _blocks(lines):
-                checksum = zlib.adler32(block, checksum)
-                in_flight.append(pool.submit(_deflate_block, primer, block, mode))
-                if len(in_flight) > workers:
-                    blob += in_flight.popleft().result()
-            while in_flight:
-                blob += in_flight.popleft().result()
-        blob += struct.pack(">I", checksum)
-        return bytes(blob)
+        with _collector_paused():
+            ids = sorted(self.entries)
+            lines = (
+                (json.dumps(column, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+                for start in range(0, len(ids), _GROUP_SIZE)
+                for column in _columns([self.entries[eid] for eid in ids[start:start + _GROUP_SIZE]])
+            )
+            blob = io.BytesIO()
+            blob.write(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + _ZLIB_HEADER)
+            checksum = zlib.adler32(b"")
+            workers = os.cpu_count() or 1
+            in_flight: deque[Future[bytes]] = deque()
+            with ThreadPoolExecutor(workers) as pool:
+                for primer, block, mode in _blocks(lines):
+                    checksum = zlib.adler32(block, checksum)
+                    in_flight.append(pool.submit(_deflate_block, primer, block, mode))
+                    if len(in_flight) > workers:
+                        blob.write(in_flight.popleft().result())
+                while in_flight:
+                    blob.write(in_flight.popleft().result())
+            blob.write(struct.pack(">I", checksum))
+            return blob.getvalue()
 
     @staticmethod
     def from_bytes(blob: bytes) -> "AnchorIndex":
@@ -310,14 +329,22 @@ def build_index(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     objects (the product of `gc.get_threshold()`), one full collection runs
     before returning, so the next caller does not inherit the pending passes.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused() as enabled:
         start = gc.get_count()[0]
         index = _aggregate(kb_records)
         if enabled and 0 < math.prod(gc.get_threshold()) <= gc.get_count()[0] - start:
             gc.collect()
         return index
+
+
+@contextmanager
+def _collector_paused() -> Iterator[bool]:
+    """Pause the process-wide cyclic collector for the block, which is told
+    whether it was enabled, and restore that state on the way out."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield enabled
     finally:
         if enabled:
             gc.enable()
@@ -522,17 +549,30 @@ def _faults(columns: Sequence[Sequence]) -> Iterator[tuple[int, int, str]]:
             yield number, row, f"entry {ids[row]!r}: {message}"
 
 
-def _entry(eid: str, title: str, text: str, categories: list, redirects: list, links: list) -> KbEntry:
-    """An entry from field values that keep their rules, its links flat."""
-    pairs = iter(links)
+def _entry(memo: dict, eid: str, title: str, text: str, categories: list, redirects: list, links: list) -> KbEntry:
+    """An entry from field values that keep their rules, its links flat.
+
+    `memo`, one `_memo()` per read, maps each id, anchor and target string,
+    and each set of category or redirect names, to its first occurrence,
+    which every equal one is replaced with: the entries share one object per
+    distinct value. Titles and texts are kept as they come.
+    """
+    pairs = map(memo.setdefault, links, links)
+    categories, redirects = frozenset(categories), frozenset(redirects)
+    # Positional arguments: keywords cost a KB of 20,000 entries about 20 ms.
     return KbEntry(
-        id=eid,
-        title=title,
-        text=text,
-        categories=frozenset(categories) if categories else _NO_NAMES,
-        outlinks=tuple(zip(pairs, pairs)),
-        redirects=frozenset(redirects) if redirects else _NO_NAMES,
+        memo.setdefault(eid, eid),
+        title,
+        text,
+        memo.setdefault(categories, categories),
+        tuple(zip(pairs, pairs)),
+        memo.setdefault(redirects, redirects),
     )
+
+
+def _memo() -> dict:
+    """A memo for `_entry` that starts with the one shared empty name set."""
+    return {_NO_NAMES: _NO_NAMES}
 
 
 _ANCHOR_TARGET = itemgetter("anchor", "target")
@@ -565,6 +605,7 @@ def _read_groups(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
     """KB entries from the column lines of an index body, group by group; a
     bad line raises KbError prefixed with `source` and its line number."""
     seen: set[str] = set()
+    memo = _memo()
     group: list[list] = []
     lineno = 0
     for lineno, line in enumerate(lines, start=1):
@@ -591,23 +632,23 @@ def _read_groups(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
             if eid in seen:
                 raise KbError(f"{source}:{first}: duplicate KB id {eid!r}")
             seen.add(eid)
-        yield from map(_entry, *group)
+        yield from map(_entry, repeat(memo), *group)
         group = []
     if group:
         raise KbError(f"{source}:{lineno}: the body ends after {len(group)} of a group's {len(_FIELDS)} lines")
 
 
-def _checked_entries(rows: list[tuple], linenos: list[int], source: str) -> Iterator[KbEntry]:
-    """Entries from the field values of records, checked a column at a time;
-    the first record at fault raises KbError prefixed with `source` and its
-    line number."""
+def _checked_entries(rows: list[tuple], linenos: list[int], source: str, memo: dict) -> Iterator[KbEntry]:
+    """Entries from the field values of records, checked a column at a time
+    and made with `memo` (see `_entry`); the first record at fault raises
+    KbError prefixed with `source` and its line number."""
     if not rows:
         return
     columns = tuple(zip(*rows))
     fault = min(_faults(columns), key=itemgetter(1), default=None)
     if fault is not None:
         raise KbError(f"{source}:{linenos[fault[1]]}: {fault[2]}")
-    yield from map(_entry, *columns)
+    yield from map(_entry, repeat(memo), *columns)
 
 
 def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
@@ -616,6 +657,7 @@ def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
     bad line raises KbError prefixed with the path and its line number."""
     rows: list[tuple] = []
     linenos: list[int] = []
+    memo = _memo()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -624,12 +666,12 @@ def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
             try:
                 values = _record_values(json.loads(line))
             except (json.JSONDecodeError, RecursionError, KbError) as exc:  # RecursionError: nested too deep
-                yield from _checked_entries(rows, linenos, path)  # an earlier bad record is reported first
+                yield from _checked_entries(rows, linenos, path, memo)  # an earlier bad record is reported first
                 detail = exc if isinstance(exc, KbError) else f"invalid JSON ({exc})"
                 raise KbError(f"{path}:{lineno}: {detail}") from None
             rows.append(values)
             linenos.append(lineno)
             if len(rows) == _GROUP_SIZE:
-                yield from _checked_entries(rows, linenos, path)
+                yield from _checked_entries(rows, linenos, path, memo)
                 rows, linenos = [], []
-    yield from _checked_entries(rows, linenos, path)
+    yield from _checked_entries(rows, linenos, path, memo)

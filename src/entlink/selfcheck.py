@@ -4,8 +4,8 @@ Each check recomputes its expected answer with an independent method (hand
 values, finite differences, brute-force closure) rather than trusting the
 code path it exercises. The brute-force oracles (finite-difference gradient,
 joint-assignment enumeration and scoring, component closure, index
-derivation, cosine, relation frequencies) are public: the test suite imports
-these same ones.
+derivation, sub-word retrieval, cosine, relation frequencies) are public:
+the test suite imports these same ones.
 """
 
 from __future__ import annotations
@@ -185,6 +185,21 @@ def index_oracle(entries) -> dict:
         "redirect_map": redirect_map,
         "dangling_links": sum(1 for *_, ok in links if not ok),
     }
+
+
+def subword_oracle(postings: dict[str, list[tuple[str, int]]], key: str) -> list[tuple[str, int]]:
+    """Sub-word postings of a normalized surface `key`, by brute force: every
+    anchor but `key` whose token set is non-empty and a subset or superset of
+    the key's non-empty one, its counts summed per entity, sorted by
+    descending count, then id."""
+    query = set(words(key))
+    merged: dict[str, int] = {}
+    for anchor, plist in postings.items():
+        tokens = set(words(anchor))
+        if query and tokens and anchor != key and (tokens <= query or tokens >= query):
+            for eid, count in plist:
+                merged[eid] = merged.get(eid, 0) + count
+    return sorted(merged.items(), key=lambda ec: (-ec[1], ec[0]))
 
 
 def index_body_oracle(entries, group_size: int) -> list[list]:

@@ -29,6 +29,7 @@ from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     oracle_features,
     oracle_log_z,
     oracle_relation_frequencies,
+    subword_oracle,
 )
 from entlink.text_vsm import _CJK_RANGES, Token
 

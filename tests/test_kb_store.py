@@ -6,9 +6,10 @@ import os
 import random
 import struct
 import zlib
+from itertools import chain
 
 import pytest
-from conftest import DAMAGE, MALFORMED_BODIES, canonical_lines, index_blob, index_oracle
+from conftest import DAMAGE, MALFORMED_BODIES, canonical_lines, index_blob, index_oracle, subword_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,9 +266,9 @@ def collector(request):
 
 
 class TestCollector:
-    """`build_index` pauses the cyclic collector and leaves it as it found
-    it, and collects once when it built at least a full-collection interval
-    of container objects."""
+    """`build_index` and `to_bytes` pause the cyclic collector and leave it
+    as they found it, and a build collects once when it built at least a
+    full-collection interval of container objects."""
 
     def test_state_kept_after_a_build(self, collector):
         build_index(toy_kb_entries())
@@ -286,6 +287,15 @@ class TestCollector:
             AnchorIndex.from_bytes(index_blob(lines))
         assert gc.isenabled() == collector
 
+    def test_paused_while_serializing_and_restored(self, collector, monkeypatch):
+        index = build_index(toy_kb_entries())
+        states = []
+        columns = kb_store._columns
+        monkeypatch.setattr(kb_store, "_columns", lambda group: states.append(gc.isenabled()) or columns(group))
+        index.to_bytes()
+        assert states == [False]
+        assert gc.isenabled() == collector
+
     @pytest.mark.parametrize("threshold,expected", [((1, 1, 1), 1), ((10**9, 10, 10), 0)],
                              ids=["above-interval", "below-interval"])
     def test_one_collection_above_the_interval(self, collector, monkeypatch, threshold, expected):
@@ -297,6 +307,9 @@ class TestCollector:
         monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args) or 0)
         build_index(toy_kb_entries())
         assert len(calls) == (expected if collector else 0)
+
+
+_SUBWORDS = ["ab", "Cd", "ef", "ab", "—"]
 
 
 class TestFastSearch:
@@ -348,6 +361,23 @@ class TestFastSearch:
         assert hits[0].link_prior == pytest.approx(2 / 3)
         assert hits[1].link_prior == pytest.approx(1 / 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        anchors=st.lists(st.tuples(st.lists(st.sampled_from(_SUBWORDS), max_size=3), st.sampled_from("XYZ")),
+                         max_size=12),
+        query=st.lists(st.sampled_from(_SUBWORDS), max_size=4),
+    )
+    def test_subword_lookup_matches_the_oracle(self, anchors, query):
+        """Anchors built from a few words, some repeated or wordless, so that
+        subsets and supersets of a query abound; an anchor that repeats a
+        word is listed once under it."""
+        links = tuple((" ".join(words), target) for words, target in anchors)
+        index = build_index([KbEntry(id="S", title="S", text="", outlinks=links)])
+        key = normalize_name(" ".join(query))
+        assert index.lookup(" ".join(query)) == (index.postings.get(key) or subword_oracle(index.postings, key))
+        for listed in index._token_to_anchors.values():
+            assert len(set(listed)) == len(listed)
+
     def test_monotone_in_k(self):
         index = toy_index()
         for surface in ("Nardelli", "Home Depot", "Atlanta"):
@@ -378,6 +408,50 @@ class TestResolveRedirect:
     def test_unknown(self):
         index = toy_index()
         assert index.redirect_map.get(normalize_name("No Such Page")) is None
+
+
+def assert_one_object_per_value(index):
+    """Every id, anchor and target string of the entries is one object per
+    value, and so is every category and redirect name set."""
+    strings, name_sets = {}, {}
+    for entry in index.entries.values():
+        for value in (entry.id, *chain.from_iterable(entry.outlinks)):
+            assert strings.setdefault(value, value) is value
+        for names in (entry.categories, entry.redirects):
+            assert name_sets.setdefault(names, names) is names
+
+
+_LINKED_IDS = ("ANN", "BOB", "CAT", "DAN")  # not one character: CPython shares those anyway
+
+
+class TestSharedValues:
+    @staticmethod
+    def linked_entries():
+        """Entries with shared category and redirect sets, and links between them."""
+        cats = ["People", "Sailors"]
+        return [
+            KbEntry(id=eid, title=f"Page {eid}", text="", categories=frozenset(cats[: 1 + i % 2]),
+                    redirects=frozenset({"Sea"}) if i % 2 else frozenset(),
+                    outlinks=tuple((f"to {t}", t) for t in _LINKED_IDS if t != eid))
+            for i, eid in enumerate(_LINKED_IDS)
+        ]
+
+    def test_a_read_kb_and_its_loaded_index_share_values(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text("".join(json.dumps(e.to_record()) + "\n" for e in self.linked_entries()))
+        built = build_index(load_kb_jsonl(str(path)))
+        loaded = AnchorIndex.from_bytes(built.to_bytes())
+        for index in (built, loaded):
+            entries = index.entries
+            assert entries["ANN"].outlinks[0][1] is entries["BOB"].id
+            assert entries["BOB"].categories is entries["DAN"].categories
+            assert entries["BOB"].redirects is entries["DAN"].redirects
+            assert_one_object_per_value(index)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=codec_kbs())
+    def test_a_loaded_index_shares_values(self, entries):
+        assert_one_object_per_value(AnchorIndex.from_bytes(build_index(entries).to_bytes()))
 
 
 class TestSerialization:
