@@ -189,11 +189,7 @@ def _acronym(tokens: Sequence[str]) -> str | None:
 class _EntityData:
     """Per-entity derived data shared across feature computations."""
 
-    __slots__ = (
-        "words", "text_vec", "top_vec", "ctx_vecs",
-        "norm_title", "norm_redirects", "acronyms", "title_tokens",
-        "category_token_sets", "relation_names",
-    )
+    __slots__ = ("words", "text_vec", "top_vec", "ctx_vecs", "norm_title", "norm_redirects", "relation_names")
 
     def __init__(self, extractor: "FeatureExtractor", eid: str):
         index = extractor.index
@@ -207,12 +203,8 @@ class _EntityData:
         self.ctx_vecs: dict[str, TermVector] = {}
         self.norm_title = normalize_name(entry.title)
         self.norm_redirects = frozenset(normalize_name(r) for r in entry.redirects)
-        title = name_words(entry.title)
-        redirects = [name_words(r) for r in entry.redirects]
-        self.acronyms = frozenset(filter(None, map(_acronym, [title, *redirects])))
-        self.title_tokens = frozenset(title)
         categories = [name_words(c) for c in entry.categories]
-        self.category_token_sets = tuple(frozenset(seq) for seq in categories)
+        redirects = [name_words(r) for r in entry.redirects]
         inlinks = [name_words(entries[e].title) for e in index.inlinks.get(eid, ())]
         outlinks = [name_words(entries[e].title) for e in index.outlink_counts.get(eid, ())]
         # (text column, context column, words) of every name that has words,
@@ -263,10 +255,11 @@ class FeatureExtractor:
 
     It caches what it derives from each candidate entity (page vectors and
     their norms, page context windows, the words of its relation names), the
-    words of each KB title, category and redirect it reads, and each
-    candidate pair's features. Every cache, the title-words one included, is write-once per
-    key with idempotent values, so a built extractor may be shared by
-    concurrent readers (`link --jobs`).
+    words of each KB title, category and redirect it reads (acronyms and the
+    category-title relation are computed from these where they are read),
+    and each candidate pair's features. Every cache, the name-words one
+    included, is write-once per key with idempotent values, so a built
+    extractor may be shared by concurrent readers (`link --jobs`).
     """
 
     def __init__(
@@ -371,10 +364,11 @@ class FeatureExtractor:
             surface_key = terms.surface_key
             vec[idx["match_all_title"]] = 1.0 if surface_key == data.norm_title else 0.0
             vec[idx["exact_match_redirect"]] = 1.0 if surface_key in data.norm_redirects else 0.0
+            entry = self.index.entries[eid]
             is_acronym = (
                 mention.surface.isupper()
                 and len(surface_key) >= 2
-                and surface_key in data.acronyms
+                and any(_acronym(self._name_words(name)) == surface_key for name in (entry.title, *entry.redirects))
             )
             vec[idx["match_acronym"]] = 1.0 if is_acronym else 0.0
         return vec
@@ -399,21 +393,18 @@ class FeatureExtractor:
                 self.index.inlinks.get(second, frozenset()),
             )
 
-            data1, data2 = self._data(first), self._data(second)
             cats1, cats2 = entries[first].categories, entries[second].categories
             vec[idx["category_pmi"]] = float(
                 sum(self.pmi.score(a, b) for a in cats1 for b in cats2)
             )
 
-            relations = 0
-            for token_sets, title_tokens in (
-                (data1.category_token_sets, data2.title_tokens),
-                (data2.category_token_sets, data1.title_tokens),
-            ):
-                for cat_tokens in token_sets:
-                    if jaccard(cat_tokens, title_tokens) >= 0.5:
-                        relations += 1
-            vec[idx["categorical_relation_freq"]] = float(relations)
+            # categories of either entity whose words match the other's title words
+            name_words = self._name_words
+            vec[idx["categorical_relation_freq"]] = float(sum(
+                jaccard(name_words(category), name_words(entries[other].title)) >= 0.5
+                for cats, other in ((cats1, second), (cats2, first))
+                for category in cats
+            ))
 
             vec[idx["title_cooccurrence"]] = float(out1.get(second, 0) + out2.get(first, 0))
 

@@ -6,10 +6,13 @@ quasi-Newton training, and per-component decoding.
 Inference runs over many chains at once, in one `ChainBatch`: training lays
 out every instance in one batch, once, and each objective evaluation is one
 batched forward-backward pass over it; decode runs a document's components
-as one batch. The batch order is fixed (chains in instance order, states
-layer by layer), so every sum runs in a fixed order and training is
-bit-reproducible for a given data order. A trained Model is immutable and may
-be read concurrently; decoding different documents in parallel is safe.
+as one batch. A batch's states are built one layer (mention position) at a
+time for all its chains together, each layer by one expansion of the layer
+before, and numbered in their final order as they are built. The batch
+order is fixed (chains in instance order, states layer by layer), so every
+sum runs in a fixed order and training is bit-reproducible for a given data
+order. A trained Model is immutable and may be read concurrently; decoding
+different documents in parallel is safe.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -122,30 +124,6 @@ class TrainingInstance:
         return self.chain.features
 
 
-def _chain_states(chain: ComponentChain) -> tuple[list[np.ndarray], list[tuple], np.ndarray]:
-    """The reachable states of one chain: per mention, each state's
-    candidate position; per step from mention i to i + 1, the transitions
-    as (source, destination, row in the step's pair block), with sources
-    numbered among mention i's states and destinations among mention
-    i + 1's, sorted by source; and the last mention's state masks."""
-    n_masks = chain.mask_features.shape[0]
-    offsets = list(accumulate(chain.sizes, initial=0))
-    cand, mask = np.arange(chain.sizes[0]), chain.bits[: chain.sizes[0]]
-    cands, steps = [cand], []
-    for i, k in enumerate(chain.sizes[1:], start=1):
-        after = mask[:, None] & chain.bits[offsets[i]:offsets[i] + k][None, :]
-        reached = np.zeros(k * n_masks, dtype=bool)
-        reached[np.arange(k) * n_masks + after] = True
-        nxt_cand, nxt_mask = np.divmod(np.flatnonzero(reached), n_masks)
-        # t follows s only when t's mask is the AND of s's mask and the bits of
-        # t's candidate; no other pair is a transition.
-        src, dst = np.nonzero(after[:, nxt_cand] == nxt_mask)
-        steps.append((src, dst, cand[src] * k + nxt_cand[dst]))
-        cand, mask = nxt_cand, nxt_mask
-        cands.append(cand)
-    return cands, steps, mask
-
-
 def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) -> np.ndarray:
     """log-sum-exp of each run of `values` that begins at one of `starts`;
     `segment` numbers each value's run."""
@@ -157,28 +135,10 @@ def _segment_max(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) ->
     return np.maximum.reduceat(values, starts)
 
 
-def _stack(arrays: list[np.ndarray], bases: list[int]) -> np.ndarray:
-    """The integer arrays concatenated, each shifted by its base."""
-    if not arrays:
-        return np.zeros(0, np.intp)
-    return np.concatenate(arrays) + np.repeat(np.array(bases, np.intp), [a.size for a in arrays])
-
-
-def _runs(keys: np.ndarray, bounds: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For sorted `keys` cut into parts at `bounds`: per part, where each run
-    of equal keys starts and each key's run number, both counted within the
-    part."""
-    if len(bounds) < 2:
-        return []
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    at = np.flatnonzero(new)
-    number = np.cumsum(new) - 1
-    cuts = np.searchsorted(at, bounds).tolist()
-    return [
-        (at[r0:r1] - lo, number[lo:hi] - r0)
-        for lo, hi, r0, r1 in zip(bounds, bounds[1:], cuts, cuts[1:])
-    ]
+def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given positive lengths laid end to end: where each run
+    starts, and each element's run number."""
+    return np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths)
 
 
 class ChainBatch:
@@ -196,9 +156,14 @@ class ChainBatch:
     The layout is built once and does not depend on the weights. The
     chains' unary, pair and mask rows are stacked in chain order. States are
     numbered layer by layer, layer i holding mention i's states of every
-    chain that long, and chain by chain within a layer. Transitions are
-    numbered step by step and chain by chain within a step, which sorts them
-    by source state; the forward pass reads them through a stable sort by
+    chain that long, and within a layer chain by chain, then by candidate,
+    then by mask. Layer 0 is every candidate of every chain's first mention;
+    each later layer is built from the one before, for all chains at once, by
+    one expansion of its states into the next mention's candidates. Each
+    state is keyed by its unary row and mask, so sorting the keys numbers
+    the new layer in that order and merges equal states. Transitions are
+    numbered step by step, one contiguous run per source state in state
+    order; the forward pass reads them through a stable sort by
     destination. A pass takes one segmented numpy reduction per layer,
     however many chains there are.
     """
@@ -210,63 +175,68 @@ class ChainBatch:
         self.unary = np.concatenate([chain.features for chain in self.chains] or [no_rows])
         self.pair = np.concatenate([b.reshape(-1, width) for chain in self.chains for b in chain.pairs] or [no_rows])
         self.mask = np.concatenate([chain.mask_features for chain in self.chains] or [no_rows])
+        bits = np.concatenate([chain.bits for chain in self.chains] or [no_ints])
+        mask_rows = np.array([len(chain.mask_features) for chain in self.chains], np.intp)
+        mask_at = mask_rows.cumsum() - mask_rows  # each chain's first mask row
+        n_masks = int(mask_rows.max(initial=1))
 
-        layers: list[list] = []  # per layer: (chain, candidate positions, unary row of candidate 0, mask rows or None)
-        steps: list[list] = []   # per step: (chain, (sources, destinations, pair rows), first pair row)
-        unary_at = pair_at = mask_at = 0
-        for c, chain in enumerate(self.chains):
-            cands, transitions, last = _chain_states(chain)
-            for i, (cand, row) in enumerate(zip(cands, accumulate(chain.sizes, initial=unary_at))):
-                if i == len(layers):
-                    layers.append([])
-                # the last states' masks select the rows of the chain's boolean features
-                layers[i].append((c, cand, row, mask_at + last if i == len(cands) - 1 else None))
-            for i, (edges, k, k_next) in enumerate(zip(transitions, chain.sizes, chain.sizes[1:])):
-                if i == len(steps):
-                    steps.append([])
-                steps[i].append((c, edges, pair_at))
-                pair_at += k * k_next
-            unary_at += len(chain.features)
-            mask_at += len(chain.mask_features)
+        # Per mention, chain by chain: its candidate count, the next mention's
+        # in its chain (0 for the last), and whether it starts its chain.
+        sizes = [chain.sizes for chain in self.chains]
+        size = np.array([k for s in sizes for k in s], np.intp)
+        size_next = np.array([k for s in sizes for k in s[1:] + (0,)], np.intp)
+        first = np.array([i == 0 for s in sizes for i in range(len(s))], bool)
+        # Per unary row: its chain, its candidate position, and the
+        # transitions out of it: their count and the unary and pair rows of
+        # the first (to the next mention's candidate 0).
+        row_chain = (first.cumsum() - 1).repeat(size)
+        row_end, pair_size = size.cumsum(), size * size_next
+        cand = np.arange(row_chain.size) - (row_end - size).repeat(size)
+        n_out = size_next.repeat(size)
+        out_row = row_end.repeat(size)
+        out_pair = (pair_size.cumsum() - pair_size).repeat(size) + cand * n_out
 
-        first = {}  # (chain, layer) -> number of the chain's first state in the layer
-        self.layer_at = [0]  # number of each layer's first state, then the state count
-        cand_parts, row_parts, chain_ids, sizes, end_parts, end_rows = [], [], [], [], [], []
-        for i, layer in enumerate(layers):
-            n = self.layer_at[-1]
-            for c, cand, row, end in layer:
-                first[c, i] = n
-                cand_parts.append(cand)
-                row_parts.append(row + cand)
-                chain_ids.append(c)
-                sizes.append(cand.size)
-                if end is not None:
-                    end_parts.append(np.arange(n, n + cand.size))
-                    end_rows.append(end)
-                n += cand.size
-            self.layer_at.append(n)
-        self.state_cand = np.concatenate(cand_parts or [no_ints])
-        self.state_row = np.concatenate(row_parts or [no_ints])
-        self.state_chain = np.repeat(np.array(chain_ids, np.intp), sizes)
-        self.end_states = np.concatenate(end_parts or [no_ints])
-        self.end_rows = np.concatenate(end_rows or [no_ints])
+        # A state's key is its unary row * n_masks + its mask. Layer 0: the
+        # candidates of every chain's first mention, each with its own bits.
+        row = first.repeat(size).nonzero()[0]
+        keys = row * n_masks + bits[row]
+        layers = []  # per layer, its states' keys
+        edges = [(no_ints, no_ints, no_ints)]  # per step, its (sources, destinations, pair rows)
+        # Number of each layer's first state, then the state count; of each
+        # step's first transition, then the transition count.
+        self.layer_at, self.step_at, self.backward_steps = [0], [0], []
+        while keys.size:
+            layers.append(keys)
+            self.layer_at.append(self.layer_at[-1] + keys.size)
+            row, mask = np.divmod(keys, n_masks)
+            go = n_out[row].nonzero()[0]
+            if not go.size:
+                break
+            starts, segment = _segments(n_out[row[go]])
+            src = go[segment]
+            nxt = np.arange(src.size) - starts[segment]  # the candidate each transition moves to
+            # t follows s only when t's mask is the AND of s's mask and the
+            # bits of t's candidate.
+            dst_row = out_row[row[src]] + nxt
+            keys, dst = np.unique(dst_row * n_masks + (mask[src] & bits[dst_row]), return_inverse=True)
+            base, lo = self.layer_at[-2], self.step_at[-1]
+            self.step_at.append(lo + src.size)
+            self.backward_steps.append((slice(lo, lo + src.size), base + go, starts, segment))
+            edges.append((base + src, self.layer_at[-1] + dst, out_pair[row[src]] + nxt))
+
+        self.state_row, state_mask = np.divmod(np.concatenate(layers or [no_ints]), n_masks)
+        self.state_cand = cand[self.state_row]
+        self.state_chain = row_chain[self.state_row]
+        self.end_states = (n_out[self.state_row] == 0).nonzero()[0]
+        # the last states' masks select the rows of their chain's boolean features
+        self.end_rows = mask_at[self.state_chain[self.end_states]] + state_mask[self.end_states]
         n_first = self.layer_at[1] if layers else 0
         self.first_rows, self.first_chain = self.state_row[:n_first], self.state_chain[:n_first]
         # each chain's first states: chain_at[c]:chain_at[c + 1]
-        self.chain_at = np.array([first[c, 0] for c in range(len(self.chains))] + [n_first], np.intp)
-
-        flat = [(edges, (first[c, i], first[c, i + 1], at)) for i, step in enumerate(steps) for c, edges, at in step]
-        self.edge_src, self.edge_dst, self.edge_pair = (
-            _stack([edges[k] for edges, _ in flat], [bases[k] for _, bases in flat]) for k in range(3)
-        )
+        self.chain_at = self.first_chain.searchsorted(np.arange(len(self.chains) + 1))
+        self.edge_src, self.edge_dst, self.edge_pair = map(np.concatenate, zip(*edges))
         self.edge_chain = self.state_chain[self.edge_src]
         self.edge_unary = self.state_row[self.edge_dst]
-        # Transitions of step i (layer i to i + 1): edge_*[step_at[i]:step_at[i + 1]].
-        self.step_at = list(accumulate((sum(e[0].size for _, e, _ in step) for step in steps), initial=0))
-        self.backward_steps = [
-            (slice(lo, hi), self.edge_src[lo + starts], starts, segment)
-            for lo, hi, (starts, segment) in zip(self.step_at, self.step_at[1:], _runs(self.edge_src, self.step_at))
-        ]
 
     @cached_property
     def forward_steps(self) -> list[tuple]:
@@ -274,12 +244,11 @@ class ChainBatch:
         sources, and the runs of each destination: the forward pass's layout,
         built on first use, as only training runs that pass."""
         order = np.argsort(self.edge_dst, kind="stable")
+        # every state after layer 0 has an incoming transition: one run per destination
+        incoming = np.bincount(self.edge_dst, minlength=self.layer_at[-1])
         return [
-            (order[lo:hi], self.edge_src[order[lo:hi]], starts, segment, dst_lo, dst_hi)
-            for lo, hi, dst_lo, dst_hi, (starts, segment) in zip(
-                self.step_at, self.step_at[1:], self.layer_at[1:], self.layer_at[2:],
-                _runs(self.edge_dst[order], self.step_at),
-            )
+            (order[lo:hi], self.edge_src[order[lo:hi]], *_segments(incoming[dst_lo:dst_hi]), dst_lo, dst_hi)
+            for lo, hi, dst_lo, dst_hi in zip(self.step_at, self.step_at[1:], self.layer_at[1:], self.layer_at[2:])
         ]
 
     def _potentials(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

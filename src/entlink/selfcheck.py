@@ -3,9 +3,10 @@
 Each check recomputes its expected answer with an independent method (hand
 values, finite differences, brute-force closure) rather than trusting the
 code path it exercises. The brute-force oracles (finite-difference gradient,
-joint-assignment enumeration and scoring, component closure, index
-derivation, sub-word retrieval, cosine, relation frequencies) are public:
-the test suite imports these same ones.
+joint-assignment enumeration and scoring, chain states by prefix
+enumeration, component closure, index derivation, sub-word retrieval,
+cosine, relation frequencies) are public: the test suite imports these same
+ones.
 """
 
 from __future__ import annotations
@@ -83,6 +84,30 @@ def oracle_features(extractor, component, assignments, view) -> np.ndarray:
         for left, right in zip(assignment, assignment[1:]):
             row += extractor.entity_entity_features(left.entity_id, right.entity_id)
     return out
+
+
+def oracle_states(chain) -> tuple[list[list[tuple]], list[list[tuple]]]:
+    """The state space of one `ComponentChain`, by enumerating every prefix
+    assignment. A prefix (a candidate position for each of mentions 0..i)
+    reaches the state (its last position, the AND of its candidates' bits).
+    Returns, per mention i, the distinct states of the prefixes that end
+    there, sorted; and per step from mention i to i + 1, the distinct
+    (state, extended state, row in the step's pair block) of every prefix
+    and its one-longer extensions, sorted."""
+    sizes, offsets = chain.sizes, chain.offsets
+    layers, steps = [], []
+    for i in range(len(sizes)):
+        states, transitions = set(), set()
+        for prefix in itertools.product(*map(range, sizes[:i + 1])):
+            mask = int(np.bitwise_and.reduce(chain.bits[offsets[:i + 1] + prefix]))
+            states.add((prefix[-1], mask))
+            for nxt in range(sizes[i + 1] if i + 1 < len(sizes) else 0):
+                after = (nxt, mask & int(chain.bits[offsets[i + 1] + nxt]))
+                transitions.add(((prefix[-1], mask), after, prefix[-1] * sizes[i + 1] + nxt))
+        layers.append(sorted(states))
+        if i + 1 < len(sizes):
+            steps.append(sorted(transitions))
+    return layers, steps
 
 
 def oracle_cosine(a: dict[str, float], b: dict[str, float]) -> float:

@@ -12,6 +12,7 @@ from conftest import (
     oracle_cll,
     oracle_features,
     oracle_log_z,
+    oracle_states,
     random_boolean_kb,
     random_chain_doc,
 )
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entlink.config import PipelineConfig
-from entlink.features import FeatureExtractor, PmiTable, default_registry
+from entlink.features import ComponentChain, FeatureExtractor, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans, toy_index
 from entlink.maxent import ChainBatch, Model, TrainingBatch, build_training_instances, cll_objective, decode, train
 from entlink.segmenter import connected_components
@@ -78,6 +79,88 @@ def test_random_components_set_boolean_features():
         _, _, features = oracle(index, random_chain_doc(rng, "d", rng.randint(1, 3)))
         hits += bool(np.any(features[:, REGISTRY.boolean_indices]))
     assert hits >= 5
+
+
+def random_bits_chain(rng: np.random.Generator, n_mentions: int, n_booleans: int = 3) -> ComponentChain:
+    """A chain of 1 to 4 candidates per mention whose booleans each hold with
+    probability 0.7, so ANDed masks stay varied over several mentions."""
+    sizes = tuple(int(k) for k in rng.integers(1, 5, size=n_mentions))
+    bits = (rng.random((sum(sizes), n_booleans)) < 0.7) @ (1 << np.arange(n_booleans))
+    return ComponentChain(
+        sizes=sizes,
+        features=rng.normal(size=(sum(sizes), 2)),
+        pairs=tuple(rng.normal(size=(a, b, 2)) for a, b in zip(sizes, sizes[1:])),
+        bits=bits.astype(np.intp),
+        mask_features=np.zeros((1 << n_booleans, 2)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 6), max_size=5))
+@example(seed=0, lengths=[])
+def test_batch_states_equal_prefix_enumeration(seed, lengths):
+    """In a batch of random chains, each chain's states in each layer are
+    the distinct (candidate, AND of the prefix's bits) of its prefix
+    assignments, in (candidate, mask) order, chains in batch order; each
+    step's transitions join every prefix's state to its one-longer
+    extensions' at the two candidates' pair row; and each chain's last
+    states select its own mask rows."""
+    rng = np.random.default_rng(seed)
+    chains = [random_bits_chain(rng, n) for n in lengths]
+    batch = ChainBatch(chains)
+    oracles = [oracle_states(chain) for chain in chains]
+    bits = np.concatenate([chain.bits for chain in chains] + [np.zeros(0, np.intp)])
+    unary_at = np.cumsum([0] + [len(chain.features) for chain in chains])
+    pair_at = np.cumsum([0] + [block.shape[0] * block.shape[1] for chain in chains for block in chain.pairs])
+    first_step = np.cumsum([0] + [len(chain.pairs) for chain in chains])  # each chain's first block in pair_at
+
+    assert len(batch.layer_at) - 1 == max(lengths, default=0) == len(batch.backward_steps) + bool(chains)
+    assert np.all(np.diff(batch.edge_src) >= 0)
+    # Each state's mask: its candidate's bits in layer 0, then its
+    # predecessor's mask ANDed with them, alike over every transition into it.
+    mask = np.full(batch.layer_at[-1], -1)
+    mask[: batch.layer_at[1] if chains else 0] = bits[batch.first_rows]
+    for src, dst in zip(batch.edge_src, batch.edge_dst):
+        assert mask[dst] in (-1, mask[src] & bits[batch.state_row[dst]])
+        mask[dst] = mask[src] & bits[batch.state_row[dst]]
+    assert np.all(mask >= 0)
+
+    for lo, hi in zip(batch.layer_at, batch.layer_at[1:]):
+        assert np.all(np.diff(batch.state_chain[lo:hi]) >= 0)
+    assert batch.layer_at[-1] == sum(len(states) for layers, _ in oracles for states in layers)
+    assert batch.step_at[-1] == sum(len(transitions) for _, steps in oracles for transitions in steps)
+    for c, ((layers, steps), chain) in enumerate(zip(oracles, chains)):
+        for i, want in enumerate(layers):
+            lo, hi = batch.layer_at[i:i + 2]
+            states = lo + np.flatnonzero(batch.state_chain[lo:hi] == c)
+            assert [(int(batch.state_cand[s]), int(mask[s])) for s in states] == want
+            assert np.array_equal(batch.state_row[states], unary_at[c] + chain.offsets[i] + batch.state_cand[states])
+        for i, want in enumerate(steps):
+            lo, hi = batch.step_at[i:i + 2]
+            edges = lo + np.flatnonzero(batch.edge_chain[lo:hi] == c)
+            src, dst = batch.edge_src[edges], batch.edge_dst[edges]
+            assert np.all((batch.layer_at[i] <= src) & (src < batch.layer_at[i + 1]))
+            assert np.all((batch.layer_at[i + 1] <= dst) & (dst < batch.layer_at[i + 2]))
+            assert np.all(batch.state_chain[dst] == c)
+            rows = batch.edge_pair[edges] - pair_at[first_step[c] + i]
+            got = [
+                ((int(batch.state_cand[s]), int(mask[s])), (int(batch.state_cand[d]), int(mask[d])), int(row))
+                for s, d, row in zip(src, dst, rows)
+            ]
+            assert got == want
+        assert np.array_equal(np.flatnonzero(batch.first_chain == c), np.arange(*batch.chain_at[c:c + 2]))
+        lo, hi = batch.layer_at[len(layers) - 1:len(layers) + 1]
+        last = lo + np.flatnonzero(batch.state_chain[lo:hi] == c)
+        ends = np.flatnonzero(batch.state_chain[batch.end_states] == c)
+        assert np.array_equal(batch.end_states[ends], last)
+        assert np.array_equal(batch.end_rows[ends], len(chain.mask_features) * c + mask[last])
+    assert np.array_equal(batch.edge_unary, batch.state_row[batch.edge_dst])
+    assert batch.end_states.size == sum(len(layers[-1]) for layers, _ in oracles)
+
+    for order, sources, starts, segment, lo, hi in batch.forward_steps:
+        assert np.array_equal(batch.edge_dst[order], lo + segment)
+        assert np.array_equal(batch.edge_src[order], sources)
+        assert np.array_equal(segment[starts], np.arange(hi - lo))
 
 
 @settings(max_examples=60, deadline=None)

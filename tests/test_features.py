@@ -105,6 +105,14 @@ class TestMentionEntityFeatures:
         vec = extractor.mention_entity_features(doc.mentions[0], Candidate("ABC_NETWORK", 0.0), view)
         assert feature(extractor, vec, "match_acronym") == 1.0
 
+    def test_match_acronym_through_a_redirect(self, toy):
+        index, extractor = toy
+        # the initials of the redirect "ABC television network", not of the title
+        doc = doc_from_spans("d", "ATN aired the show", [("m", "ATN", None)])
+        view = extractor.document_view(doc)
+        vec = extractor.mention_entity_features(doc.mentions[0], Candidate("ABC_NETWORK", 0.0), view)
+        assert feature(extractor, vec, "match_acronym") == 1.0
+
     def test_acronym_requires_all_caps(self, toy):
         index, extractor = toy
         doc = doc_from_spans("d", "Abc aired the show", [("m", "Abc", None)])
@@ -276,9 +284,11 @@ class TestEntityEntityFeatures:
 
     def test_categorical_relation_fires_on_shared_tokens(self, toy):
         index, extractor = toy
-        # category 'Home Depot people' vs title 'Home Depot': jaccard 2/3
-        vec = extractor.entity_entity_features("ROBERT_NARDELLI", "HOME_DEPOT")
-        assert feature(extractor, vec, "categorical_relation_freq") >= 1.0
+        # Category 'Home Depot people' vs title 'Home Depot': jaccard 2/3. No
+        # other category of either entity shares a word with the other's title.
+        for pair in (("ROBERT_NARDELLI", "HOME_DEPOT"), ("HOME_DEPOT", "ROBERT_NARDELLI")):
+            vec = extractor.entity_entity_features(*pair)
+            assert feature(extractor, vec, "categorical_relation_freq") == 1.0
 
     def test_category_pmi_sums_table_scores(self, toy):
         index, _ = toy
