@@ -94,15 +94,13 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig(
+    return PipelineConfig(
         max_candidates=args.max_candidates,
         sigma=args.sigma,
         gap=args.gap,
         context_window=args.window,
         top_n=args.top_n,
     )
-    config.validate()
-    return config
 
 
 def cmd_train(args: argparse.Namespace) -> int:

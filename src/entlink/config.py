@@ -16,7 +16,8 @@ MAX_ITER = 500              # most L-BFGS iterations
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tuning knobs for the whole pipeline, with their established defaults."""
+    """Tuning knobs for the whole pipeline, with their established defaults.
+    An out-of-range value raises ValueError when the config is made."""
 
     max_candidates: int = 40     # per-mention candidate cap at retrieval
     sigma: float = 0.5           # L2 regularization strength
@@ -24,7 +25,7 @@ class PipelineConfig:
     context_window: int = 100    # total tokens around a mention, half per side
     top_n: int = 200             # size of the top-terms page vector
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         if self.max_candidates < 1:
@@ -54,6 +55,4 @@ class PipelineConfig:
             allowed = (int, float) if types[name] == "float" else (int,)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise FormatVersionError(f"config {name!r} has the wrong type: {value!r}")
-        config = PipelineConfig(**data)
-        config.validate()
-        return config
+        return PipelineConfig(**data)

@@ -14,8 +14,11 @@ one zlib stream holding the KB entries in id order, cut into groups of
 value per entry: the ids, the titles, the texts, the sorted categories, the
 sorted redirects, and the links flattened to `[anchor, target, ...]` in
 record order. Laid out by column, the body deflates smaller than one record
-per line, so a cheap deflate level still makes a smaller file. Everything
-else in the index is derived again on load.
+per line, so a cheap deflate level still makes a smaller file. Each group is
+also one deflate block, made without the history of the groups before it
+and ended on a byte boundary: the blocks join into one ordinary zlib stream,
+and each can be inflated on its own. Everything else in the index is
+derived again on load.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .text_vsm import words
 
@@ -54,9 +57,7 @@ def is_nil_label(label: str) -> bool:
 _INDEX_MAGIC = b"ELIX"
 INDEX_FORMAT_VERSION = 4
 _ZLIB_HEADER = b"\x78\x5e"  # deflate, 32 KiB window, levels 2 to 5
-_GROUP_SIZE = 1024  # entries per group of column lines
-_WINDOW = 1 << 15  # deflate's history: each block is primed with this much body
-_BLOCK_SIZE = 1 << 20  # body bytes per deflate task
+_GROUP_SIZE = 1024  # entries per group of column lines, and per deflate block
 _CHUNK_SIZE = 1 << 18  # compressed bytes read, and at most as many inflated, per step
 
 
@@ -99,15 +100,6 @@ class KbEntry:
     categories: frozenset[str] = _NO_NAMES
     outlinks: tuple[tuple[str, str], ...] = ()  # (anchor text, target id) occurrences
     redirects: frozenset[str] = _NO_NAMES
-
-    @staticmethod
-    def from_record(record: dict) -> "KbEntry":
-        """Build an entry from one parsed KB record, validating required fields."""
-        values = _record_values(record)
-        fault = next(_faults([[value] for value in values]), None)
-        if fault is not None:
-            raise KbError(fault[2])
-        return _entry(_memo(), *values)
 
     def to_record(self) -> dict:
         return {
@@ -230,33 +222,39 @@ class AnchorIndex:
         """Serialize to a versioned binary blob: the header, then one zlib
         stream of the entries' column lines, group by group in id order.
 
-        The body is cut into fixed `_BLOCK_SIZE` blocks at byte offsets, and
-        the blocks are deflated on a thread pool as the lines are made, a few
-        blocks in flight at a time. Each block is primed with the 32 KiB of
-        body before it and ends on a byte boundary, so the blocks join into
-        one ordinary zlib stream whatever the number of workers. Derived
-        structures are rebuilt on load, so equal KBs serialize to
-        byte-identical blobs. The cyclic collector is paused meanwhile: the
-        lines are made and dropped as they go, so its passes would only
-        scan the index's objects and free nothing. The blob is gathered in
-        a `BytesIO`, whose `getvalue` hands its buffer over uncopied.
+        Each group's six lines are one block, deflated at level 4 on a
+        thread pool as the groups are made, a few in flight at a time. A
+        block starts with no history and ends on a byte boundary (a sync
+        flush, the finish for the last), so the blocks join into one
+        ordinary zlib stream whatever the number of workers, and each
+        inflates alone. Derived structures are rebuilt on load, so equal
+        KBs serialize to byte-identical blobs. The cyclic collector is
+        paused meanwhile: the lines are made and dropped as they go, so its
+        passes would only scan the index's objects and free nothing. The
+        blob is gathered in a `BytesIO`, whose `getvalue` hands its buffer
+        over uncopied.
         """
         with _collector_paused():
             ids = sorted(self.entries)
-            lines = (
-                (json.dumps(column, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-                for start in range(0, len(ids), _GROUP_SIZE)
-                for column in _columns([self.entries[eid] for eid in ids[start:start + _GROUP_SIZE]])
-            )
+            # An empty body is one empty block: its one group's columns are
+            # empty, and make no lines.
+            starts = range(0, len(ids), _GROUP_SIZE) or range(1)
             blob = io.BytesIO()
             blob.write(_INDEX_MAGIC + struct.pack("<I", INDEX_FORMAT_VERSION) + _ZLIB_HEADER)
             checksum = zlib.adler32(b"")
             workers = os.cpu_count() or 1
             in_flight: deque[Future[bytes]] = deque()
             with ThreadPoolExecutor(workers) as pool:
-                for primer, block, mode in _blocks(lines):
+                for start in starts:
+                    columns = _columns([self.entries[eid] for eid in ids[start:start + _GROUP_SIZE]])
+                    block = b"".join(
+                        (json.dumps(column, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+                        for column in columns
+                        if column
+                    )
                     checksum = zlib.adler32(block, checksum)
-                    in_flight.append(pool.submit(_deflate_block, primer, block, mode))
+                    mode = zlib.Z_FINISH if start == starts[-1] else zlib.Z_SYNC_FLUSH
+                    in_flight.append(pool.submit(_deflate_block, block, mode))
                     if len(in_flight) > workers:
                         blob.write(in_flight.popleft().result())
                 while in_flight:
@@ -439,29 +437,13 @@ def _columns(group: list[KbEntry]) -> tuple[list, ...]:
     )
 
 
-def _blocks(lines: Iterable[bytes]) -> Iterator[tuple[bytearray, bytearray, int]]:
-    """Cut the body the lines make into `_BLOCK_SIZE` blocks, each with the
-    up to `_WINDOW` bytes of body before it and the flush that ends it: a
-    sync flush, or for the last block (shorter, or empty) the finish."""
-    buf = bytearray()  # the primer of the next block, then the body after it
-    primed = 0
-    for line in lines:
-        buf += line
-        while len(buf) - primed > _BLOCK_SIZE:
-            end = primed + _BLOCK_SIZE
-            yield buf[:primed], buf[primed:end], zlib.Z_SYNC_FLUSH
-            cut = max(0, end - _WINDOW)
-            del buf[:cut]
-            primed = end - cut
-    yield buf[:primed], buf[primed:], zlib.Z_FINISH
-
-
-def _deflate_block(primer: bytes, block: bytes, mode: int) -> bytes:
-    """One block as raw deflate data, ended by `mode`. It runs on a worker
-    thread and calls zlib, which releases the interpreter lock, and nothing
-    else. Level 4 is the cheapest at which the columnar body still deflates
-    smaller than the record lines of format 3 did at level 6."""
-    packer = zlib.compressobj(4, zlib.DEFLATED, -15, 9, zlib.Z_DEFAULT_STRATEGY, primer)
+def _deflate_block(block: bytes, mode: int) -> bytes:
+    """One group's lines as raw deflate data with no history, ended by
+    `mode`. It runs on a worker thread and calls zlib, which releases the
+    interpreter lock, and nothing else. Level 4 is the cheapest at which the
+    columnar body still deflates smaller than the record lines of format 3
+    did at level 6."""
+    packer = zlib.compressobj(4, zlib.DEFLATED, -15, 9)
     return packer.compress(block) + packer.flush(mode)
 
 
@@ -625,30 +607,29 @@ def _read_groups(lines: Iterable[str], source: str) -> Iterator[KbEntry]:
         if len(group) < len(_FIELDS):
             continue
         first = lineno - len(_FIELDS) + 1
-        fault = next(_faults(group), None)
-        if fault is not None:
-            raise KbError(f"{source}:{first + fault[0]}: {fault[2]}")
-        for eid in group[0]:
-            if eid in seen:
-                raise KbError(f"{source}:{first}: duplicate KB id {eid!r}")
-            seen.add(eid)
-        yield from map(_entry, repeat(memo), *group)
+        yield from _checked_group(group, lambda column, row: first + column, source, seen, memo)
         group = []
     if group:
         raise KbError(f"{source}:{lineno}: the body ends after {len(group)} of a group's {len(_FIELDS)} lines")
 
 
-def _checked_entries(rows: list[tuple], linenos: list[int], source: str, memo: dict) -> Iterator[KbEntry]:
-    """Entries from the field values of records, checked a column at a time
-    and made with `memo` (see `_entry`); the first record at fault raises
-    KbError prefixed with `source` and its line number."""
-    if not rows:
-        return
-    columns = tuple(zip(*rows))
-    fault = min(_faults(columns), key=itemgetter(1), default=None)
+def _checked_group(columns: Sequence, line: Callable, source: str, seen: set, memo: dict) -> Iterator[KbEntry]:
+    """The entries of one group of columns, in `_FIELDS` order, made with
+    `memo` (see `_entry`); each id joins `seen`, the read's ids so far. Of
+    the values that break their field's rule (`_faults`) and the first id
+    already seen, the one on the earliest line raises KbError prefixed with
+    `source` and that line, `line(column, row)`."""
+    faults = list(_faults(columns))
+    for row, eid in enumerate(columns[0]):
+        if type(eid) is str:  # any other id is a fault of its own
+            if eid in seen:
+                faults.append((0, row, f"duplicate KB id {eid!r}"))
+                break
+            seen.add(eid)
+    fault = min(faults, key=lambda f: line(f[0], f[1]), default=None)
     if fault is not None:
-        raise KbError(f"{source}:{linenos[fault[1]]}: {fault[2]}")
-    yield from map(_entry, repeat(memo), *columns)
+        raise KbError(f"{source}:{line(fault[0], fault[1])}: {fault[2]}")
+    return map(_entry, repeat(memo), *columns)
 
 
 def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
@@ -657,7 +638,17 @@ def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
     bad line raises KbError prefixed with the path and its line number."""
     rows: list[tuple] = []
     linenos: list[int] = []
+    seen: set[str] = set()
     memo = _memo()
+
+    def checked() -> Iterator[KbEntry]:
+        """The entries of the records read since the last call."""
+        columns = tuple(zip(*rows)) or ((),) * len(_FIELDS)
+        entries = _checked_group(columns, lambda column, row: linenos[row], path, seen, memo)
+        rows.clear()
+        linenos.clear()
+        return entries
+
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -666,12 +657,11 @@ def load_kb_jsonl(path: str) -> Iterator[KbEntry]:
             try:
                 values = _record_values(json.loads(line))
             except (json.JSONDecodeError, RecursionError, KbError) as exc:  # RecursionError: nested too deep
-                yield from _checked_entries(rows, linenos, path, memo)  # an earlier bad record is reported first
+                yield from checked()  # an earlier bad record is reported first
                 detail = exc if isinstance(exc, KbError) else f"invalid JSON ({exc})"
                 raise KbError(f"{path}:{lineno}: {detail}") from None
             rows.append(values)
             linenos.append(lineno)
             if len(rows) == _GROUP_SIZE:
-                yield from _checked_entries(rows, linenos, path, memo)
-                rows, linenos = [], []
-    yield from _checked_entries(rows, linenos, path, memo)
+                yield from checked()
+    yield from checked()

@@ -63,7 +63,6 @@ class Model:
             raise ValueError("weight vector length must match the feature registry")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        self.config.validate()
 
     def extractor(self, index: AnchorIndex) -> FeatureExtractor:
         """The feature extractor that decodes with this model over `index`."""
@@ -363,8 +362,10 @@ def fit_weights(
 
     Returns (weights, per-iterate objective trace, converged). The objective
     is concave, so any stationary point is the global optimum; accepted steps
-    never decrease the objective. The trace and the convergence test reuse
-    the optimizer's own evaluation at each accepted iterate.
+    never decrease the objective. The trace (the start point, then each
+    accepted iterate) and the convergence test read the optimizer's own
+    values: its first evaluation, which is at the start point, its callback's
+    objective and its final gradient.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -373,39 +374,31 @@ def fit_weights(
     from scipy.optimize import minimize
 
     batch = TrainingBatch(instances)
-    last: list = []  # [w, value, grad] of the latest evaluation
-
-    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
-        if not last or not np.array_equal(w, last[0]):
-            value, grad = cll_objective(w, batch, sigma)
-            if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-                raise TrainingError("non-finite objective during line search")
-            last[:] = [np.array(w, dtype=float), value, grad]
-        return last[1], last[2]
-
-    def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = evaluate(w)
-        return -value, -grad
-
     trace: list[float] = []
 
-    def record(w: np.ndarray) -> None:
-        trace.append(evaluate(w)[0])
+    def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = cll_objective(w, batch, sigma)
+        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise TrainingError("non-finite objective during line search")
+        if not trace:
+            trace.append(value)
+        return -value, -grad
 
-    start = np.zeros(dim)
-    record(start)
+    # scipy hands the accepted iterate, as an OptimizeResult, to a callback
+    # whose one parameter has this name.
+    def record(intermediate_result) -> None:
+        trace.append(-intermediate_result.fun)
+
     result = minimize(
         negated,
-        start,
+        np.zeros(dim),
         jac=True,
         method="L-BFGS-B",
         callback=record,
         options={"maxcor": 10, "maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
     )
-    weights = np.asarray(result.x, dtype=float)
-    _, grad = evaluate(weights)
-    converged = bool(np.max(np.abs(grad), initial=0.0) <= tol)
-    return weights, trace, converged
+    converged = bool(np.max(np.abs(result.jac), initial=0.0) <= tol)
+    return np.asarray(result.x, dtype=float), trace, converged
 
 
 @dataclass
@@ -486,7 +479,6 @@ def train(
     Deterministic for a fixed document order.
     """
     config = config if config is not None else PipelineConfig()
-    config.validate()
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not 0 < tol < math.inf:

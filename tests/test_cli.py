@@ -325,7 +325,7 @@ class TestCorruptArtifacts:
     def test_damaged_index_exits_1(self, toy_artifacts, tmp_path, caplog, monkeypatch, damage):
         """A damaged stream, a flipped byte in a later block included, exits
         1 with a diagnostic that names the file."""
-        monkeypatch.setattr(kb_store, "_BLOCK_SIZE", 64)
+        monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
         for name, blob in toy_artifacts.items():
             (tmp_path / name).write_bytes(blob)
         index = tmp_path / "toy.idx"
@@ -506,6 +506,13 @@ class TestMalformedRecords:
         assert not (tmp_path / "x.idx").exists()
         assert any(r.getMessage().startswith(f"{kb}:{len(records)}: ") for r in caplog.records)
 
+    def test_duplicate_kb_id_names_its_line(self, tmp_path, caplog):
+        kb = str(tmp_path / "dup.jsonl")
+        write_jsonl(kb, [{"id": eid, "title": eid, "text": ""} for eid in "ABA"])
+        assert run(["build-index", "--kb", kb, "--out", str(tmp_path / "x.idx")]) == 1
+        assert not (tmp_path / "x.idx").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"{kb}:3: duplicate KB id 'A'"]
+
     @pytest.mark.parametrize("reader", ["build-index", "link-documents", "eval-predictions", "link-model"])
     def test_deeply_nested_json_exits_1(self, toy_artifacts, tmp_path, caplog, reader):
         """A line nested deeper than the JSON parser recurses is invalid JSON
@@ -676,10 +683,10 @@ class TestSelfcheck:
 
         deflate_block = kb_store._deflate_block
 
-        def finish_every_block(primer, block, mode):
-            return deflate_block(primer, block, zlib.Z_FINISH)
+        def finish_every_block(block, mode):
+            return deflate_block(block, zlib.Z_FINISH)
 
-        monkeypatch.setattr(kb_store, "_BLOCK_SIZE", 256)
+        monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
         monkeypatch.setattr(kb_store, "_deflate_block", finish_every_block)
         assert run_selfcheck(0) >= 1
         assert "selfcheck index-determinism: FAILED" in capsys.readouterr().out

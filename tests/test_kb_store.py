@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import struct
 import zlib
 from itertools import chain
@@ -69,6 +70,14 @@ def empty_entries():
     return []
 
 
+def write_kb(tmp_path, records) -> str:
+    """A KB JSONL file of the records, one per line, a str as it is;
+    returns its path."""
+    path = tmp_path / "kb.jsonl"
+    path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
 class TestNormalizeName:
     def test_casefold_and_whitespace(self):
         assert normalize_name("  Home   Depot ") == "home depot"
@@ -109,21 +118,24 @@ class TestBuildIndex:
         with pytest.raises(KbError):
             build_index([entry, entry])
 
-    def test_reserved_nil_id_rejected(self):
+    def test_reserved_nil_id_rejected(self, tmp_path):
         """Every NIL label is reserved, not only the bare one: a KB id NIL7
         would be linked and then scored as NIL."""
         for eid in (NIL, "NIL7", "NIL0001"):
             with pytest.raises(KbError):
                 build_index([KbEntry(id=eid, title="nil", text="")])
-            with pytest.raises(KbError):
-                KbEntry.from_record({"id": eid, "title": "nil", "text": ""})
+            path = write_kb(tmp_path, [{"id": eid, "title": "nil", "text": ""}])
+            with pytest.raises(KbError, match=f"kb.jsonl:1: KB id '{eid}' is reserved"):
+                list(load_kb_jsonl(path))
 
-    def test_entries_without_names_share_one_empty_set(self):
+    def test_entries_without_names_share_one_empty_set(self, tmp_path):
         """An absent or empty `categories` or `redirects` list gives every
         entry the same empty frozenset, not one object per entry."""
-        a = KbEntry.from_record({"id": "A", "title": "A", "text": ""})
-        b = KbEntry.from_record({"id": "B", "title": "B", "text": "", "categories": [], "redirects": []})
-        c = KbEntry.from_record({"id": "C", "title": "C", "text": "", "redirects": ["Sea"]})
+        a, b, c = load_kb_jsonl(write_kb(tmp_path, [
+            {"id": "A", "title": "A", "text": ""},
+            {"id": "B", "title": "B", "text": "", "categories": [], "redirects": []},
+            {"id": "C", "title": "C", "text": "", "redirects": ["Sea"]},
+        ]))
         assert a.redirects is b.redirects is a.categories is b.categories is c.categories
         assert a.redirects == frozenset() and c.redirects == frozenset({"Sea"})
 
@@ -170,6 +182,31 @@ class TestBuildIndex:
             for source in entries:
                 expected = e in resolved_targets[source]
                 assert (source in index.inlinks.get(e, frozenset())) == expected
+
+
+def _page(eid, title=None):
+    return {"id": eid, "title": eid if title is None else title, "text": ""}
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        pytest.param([_page("A"), _page("B"), _page("A"), _page("C", 5)], "3: duplicate KB id 'A'",
+                     id="duplicate-first"),
+        pytest.param([_page("A"), _page("B", 5), _page("A")], "2: entry 'B': 'title' and 'text' must be strings",
+                     id="rule-fault-first"),
+        pytest.param([_page("A"), _page("A"), "{"], "2: duplicate KB id 'A'", id="before-invalid-json"),
+        pytest.param([_page(eid) for eid in "ABCDA"], "5: duplicate KB id 'A'", id="across-batches"),
+    ],
+)
+def test_a_kb_file_reports_its_first_bad_line(tmp_path, monkeypatch, records, message):
+    """Of a duplicate id and a rule fault, or a line that is no JSON, in
+    one batch of records, the one on the earlier line is reported, with its
+    line; an id is also a duplicate of one in an earlier batch."""
+    monkeypatch.setattr(kb_store, "_GROUP_SIZE", 4)
+    path = write_kb(tmp_path, records)
+    with pytest.raises(KbError, match=f"^{re.escape(path)}:{message}$"):
+        list(load_kb_jsonl(path))
 
 
 # Names that collide once normalized ("Alpha", "alpha!", "ALPHA"), that are
@@ -236,15 +273,15 @@ def codec_kbs(draw):
 @settings(max_examples=150, deadline=None)
 @given(
     entries=codec_kbs(),
-    sizes=st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 9)),
+    sizes=st.tuples(st.integers(1, 5), st.integers(1, 9)),
     data=st.data(),
 )
 def test_codec_round_trip_matches_the_oracle(entries, sizes, data):
-    """Whatever the group, block and chunk sizes, a loaded index holds the
-    KB's entries and the oracle's derived fields, and its bytes depend on
-    neither the record order nor the worker count."""
+    """Whatever the group (and so block) and chunk sizes, a loaded index
+    holds the KB's entries and the oracle's derived fields, and its bytes
+    depend on neither the record order nor the worker count."""
     with pytest.MonkeyPatch.context() as patch:
-        for name, size in zip(("_GROUP_SIZE", "_BLOCK_SIZE", "_CHUNK_SIZE"), sizes):
+        for name, size in zip(("_GROUP_SIZE", "_CHUNK_SIZE"), sizes):
             patch.setattr(kb_store, name, size)
         blob = build_index(entries).to_bytes()
         loaded = AnchorIndex.from_bytes(blob)
@@ -538,16 +575,13 @@ class TestSerialization:
 
 @pytest.fixture(params=[(2, 1), (5, 3), (13, 7)], ids=lambda p: f"block{p[0]}-chunk{p[1]}")
 def small_blocks(request, monkeypatch):
-    """Groups of two entries, and deflate blocks and inflate chunks of a few
-    bytes, so a small KB spans many of each. Two-byte blocks and one-byte
-    chunks cut every character of three or more UTF-8 bytes (U+2028 among
-    them) at a block boundary and every multi-byte character at a chunk
-    boundary. Returns the block size."""
-    block, chunk = request.param
-    monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
-    monkeypatch.setattr(kb_store, "_BLOCK_SIZE", block)
+    """Deflate blocks, which are groups, of a few entries, and inflate
+    chunks of a few bytes, so a small KB spans several of each. One-byte
+    chunks cut every multi-byte UTF-8 character (U+2028 among them) at a
+    chunk boundary."""
+    entries, chunk = request.param
+    monkeypatch.setattr(kb_store, "_GROUP_SIZE", entries)
     monkeypatch.setattr(kb_store, "_CHUNK_SIZE", chunk)
-    return block
 
 
 class TestBlocks:
@@ -556,12 +590,31 @@ class TestBlocks:
 
     @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries, empty_entries],
                              ids=["toy", "unusual", "empty"])
+    def test_each_group_is_one_block_that_inflates_alone(self, entries, monkeypatch):
+        """The blob is the header, then each group's lines deflated alone
+        (raw, level 4, memLevel 9, a sync flush, the finish for the last
+        group or an empty body), then the adler32 of the body; and each
+        block inflates on its own to its group's lines."""
+        monkeypatch.setattr(kb_store, "_GROUP_SIZE", 2)
+        lines = [line + "\n" for line in canonical_lines(entries())]
+        groups = ["".join(lines[start:start + 6]).encode("utf-8") for start in range(0, len(lines), 6)] or [b""]
+        blocks = []
+        for number, group in enumerate(groups, start=1):
+            packer = zlib.compressobj(4, zlib.DEFLATED, -15, 9)
+            mode = zlib.Z_FINISH if number == len(groups) else zlib.Z_SYNC_FLUSH
+            blocks.append(packer.compress(group) + packer.flush(mode))
+        header = b"ELIX" + struct.pack("<I", INDEX_FORMAT_VERSION) + b"\x78\x5e"
+        checksum = struct.pack(">I", zlib.adler32(b"".join(groups)))
+        assert build_index(entries()).to_bytes() == header + b"".join(blocks) + checksum
+        for block, group in zip(blocks, groups):
+            assert zlib.decompressobj(-15).decompress(block) == group
+
+    @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries, empty_entries],
+                             ids=["toy", "unusual", "empty"])
     def test_body_inflates_to_the_canonical_lines(self, entries, small_blocks):
         blob = build_index(entries()).to_bytes()
         body = zlib.decompress(blob[8:])
         assert body == "".join(line + "\n" for line in canonical_lines(entries())).encode("utf-8")
-        if body:
-            assert len(body) > 10 * small_blocks
         assert AnchorIndex.from_bytes(blob).entries == build_index(entries()).entries
 
     @pytest.mark.parametrize("entries", [toy_kb_entries, unusual_entries], ids=["toy", "unusual"])

@@ -491,3 +491,16 @@ class TestModelSerialization:
             Model(np.zeros(3), registry, PmiTable(), PipelineConfig())
         with pytest.raises(ValueError):
             Model(np.zeros(len(registry)), registry, PmiTable(), PipelineConfig(sigma=0.0))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("sigma", 0.0), ("sigma", math.inf), ("max_candidates", 0), ("gap", -1), ("context_window", 7),
+         ("top_n", 0)],
+    )
+    def test_an_invalid_config_cannot_be_made(self, name, value):
+        """An out-of-range setting raises ValueError when the config is made,
+        directly or from a saved dict."""
+        with pytest.raises(ValueError):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict({**PipelineConfig().to_dict(), name: value})
