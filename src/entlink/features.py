@@ -70,9 +70,13 @@ class FeatureRegistry:
             raise ValueError("feature names must be unique")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
-        self.boolean_indices = np.array(
-            [i for i, name in enumerate(names) if name in BOOLEAN_FEATURES], dtype=int
-        )
+        # The columns of the unary features (summed over mentions), the pair
+        # features (summed over consecutive mentions) and the booleans (ANDed).
+        group = np.array([2 if name in BOOLEAN_FEATURES else 1 if name in PAIR_FEATURES else 0 for name in names])
+        self.unary_indices, self.pair_indices, self.boolean_indices = (np.flatnonzero(group == g) for g in range(3))
+        # row m: the boolean features of an assignment whose ANDed bitmask is m
+        n_booleans = self.boolean_indices.size
+        self.mask_matrix = (np.arange(1 << n_booleans)[:, None] >> np.arange(n_booleans)) & 1
 
     def __len__(self) -> int:
         return len(self.names)
@@ -253,11 +257,12 @@ class DocumentView:
 class FeatureExtractor:
     """Computes feature vectors for candidate assignments against one index.
 
-    It caches what it derives from each candidate entity (page vectors and
-    their norms, page context windows, the words of its relation names), the
-    words of each KB title, category and redirect it reads (acronyms and the
-    category-title relation are computed from these where they are read),
-    and each candidate pair's features. Every cache, the name-words one
+    Its feature functions return registry-wide vectors. It caches what it
+    derives from each candidate entity (page vectors and their norms, page
+    context windows, the words of its relation names), the words of each KB
+    title, category and redirect it reads (acronyms and the category-title
+    relation are computed from these where they are read), and each
+    candidate pair's pair features. Every cache, the name-words one
     included, is write-once per key with idempotent values, so a built
     extractor may be shared by concurrent readers (`link --jobs`).
     """
@@ -281,11 +286,7 @@ class FeatureExtractor:
         self._freq_columns = tuple(
             (self._idx[f"{relation}_freq_text"], self._idx[f"{relation}_freq_ctx"]) for relation in LINK_RELATIONS
         )
-        bool_idx = self.registry.boolean_indices
-        masks = np.arange(1 << bool_idx.size)
-        # row m: the boolean features of an assignment whose ANDed bitmask is m
-        self._mask_features = np.zeros((masks.size, len(self.registry)))
-        self._mask_features[:, bool_idx] = (masks[:, None] >> np.arange(bool_idx.size)) & 1
+        self._pair_idx = {self.registry.names[i]: j for j, i in enumerate(self.registry.pair_indices)}
         self._entity_data: dict[str, _EntityData] = {}
         self._kb_name_words: dict[str, tuple[str, ...]] = {}
         self._pair_vectors: dict[tuple[str, str], np.ndarray] = {}
@@ -374,29 +375,30 @@ class FeatureExtractor:
         return vec
 
     def entity_entity_features(self, first: str, second: str) -> np.ndarray:
-        """Partial feature vector for a consecutive candidate pair, cached
-        and read-only."""
+        """Partial feature vector for a consecutive candidate pair; zero outside the pair columns."""
+        vec = np.zeros(len(self.registry))
+        vec[self.registry.pair_indices] = self._pair_values(first, second)
+        return vec
+
+    def _pair_values(self, first: str, second: str) -> np.ndarray:
+        """The pair features of a consecutive candidate pair, one per column
+        of `registry.pair_indices`; cached and read-only."""
         key = (first, second)
         vec = self._pair_vectors.get(key)
         if vec is not None:
             return vec
 
-        idx = self._idx
-        vec = np.zeros(len(self.registry))
+        idx = self._pair_idx
+        vec = np.zeros(len(idx))
         entries = self.index.entries
         if first in entries and second in entries:  # never NIL: build_index rejects that id
             out1 = self.index.outlink_counts.get(first, {})
             out2 = self.index.outlink_counts.get(second, {})
             vec[idx["outlink_overlap"]] = jaccard(out1, out2)
-            vec[idx["inlink_overlap"]] = jaccard(
-                self.index.inlinks.get(first, frozenset()),
-                self.index.inlinks.get(second, frozenset()),
-            )
+            vec[idx["inlink_overlap"]] = jaccard(self.index.inlinks.get(first, ()), self.index.inlinks.get(second, ()))
 
             cats1, cats2 = entries[first].categories, entries[second].categories
-            vec[idx["category_pmi"]] = float(
-                sum(self.pmi.score(a, b) for a in cats1 for b in cats2)
-            )
+            vec[idx["category_pmi"]] = float(sum(self.pmi.score(a, b) for a in cats1 for b in cats2))
 
             # categories of either entity whose words match the other's title words
             name_words = self._name_words
@@ -426,42 +428,41 @@ class FeatureExtractor:
                 f"need one non-empty candidate list per mention, got {len(lists)} "
                 f"for {len(mentions)} mentions"
             )
-        rows = np.stack(
-            [self.mention_entity_features(m, c, view) for m, lst in zip(mentions, lists) for c in lst]
-        )
-        bool_idx = self.registry.boolean_indices
+        rows = np.stack([self.mention_entity_features(m, c, view) for m, lst in zip(mentions, lists) for c in lst])
+        registry = self.registry
+        bool_idx = registry.boolean_indices
         bits = (rows[:, bool_idx] != 0.0) @ (1 << np.arange(bool_idx.size))
-        rows[:, bool_idx] = 0.0
         pairs = tuple(
-            np.stack([np.stack([self.entity_entity_features(a.entity_id, b.entity_id) for b in right]) for a in left])
+            np.stack([np.stack([self._pair_values(a.entity_id, b.entity_id) for b in right]) for a in left])
             for left, right in zip(lists, lists[1:])
         )
         return ComponentChain(
             sizes=tuple(len(lst) for lst in lists),
-            features=rows,
+            features=rows[:, registry.unary_indices],
             pairs=pairs,
             bits=bits.astype(np.intp),
-            mask_features=self._mask_features,
+            registry=registry,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class ComponentChain:
-    """The features of one component, laid out as a linear chain.
+    """The features of one component as a linear chain, each feature group
+    held once, over only the registry columns it can fill.
 
     An assignment picks one candidate position per mention. Its aggregate
-    feature vector is the sum of its candidates' unary rows, of the pair rows
-    at its consecutive choices, and of the `mask_features` row at the AND of
-    its candidates' `bits` (bit j set when the j-th boolean feature of the
-    registry holds). Unary rows carry zeros in the boolean columns, so each
-    boolean feature is 1.0 only when it holds at every mention.
+    feature vector sums its candidates' unary rows into the unary columns
+    and the pair rows at its consecutive choices into the pair columns. Its
+    boolean columns are the `mask_matrix` row at the AND of its candidates'
+    `bits` (bit j set when the registry's j-th boolean feature holds), so
+    each is 1.0 only when it holds at every mention.
     """
 
     sizes: tuple[int, ...]          # candidates per mention
-    features: np.ndarray            # (sum(sizes), F) unary rows, mention by mention
-    pairs: tuple[np.ndarray, ...]   # (sizes[i], sizes[i + 1], F) per consecutive pair
+    features: np.ndarray            # (sum(sizes), U) unary rows over registry.unary_indices
+    pairs: tuple[np.ndarray, ...]   # (sizes[i], sizes[i + 1], P) over registry.pair_indices
     bits: np.ndarray                # (sum(sizes),) boolean bitmask per candidate
-    mask_features: np.ndarray       # (2 ** n_booleans, F) features of each AND mask
+    registry: FeatureRegistry
 
     @property
     def offsets(self) -> np.ndarray:
@@ -473,7 +474,10 @@ class ComponentChain:
         if len(choice) != len(self.sizes) or not all(0 <= c < k for c, k in zip(choice, self.sizes)):
             raise ValueError(f"assignment {tuple(choice)} does not fit candidate counts {self.sizes}")
         rows = self.offsets + np.asarray(choice)
-        out = self.features[rows].sum(axis=0)
-        for block, a, b in zip(self.pairs, choice, choice[1:]):
-            out += block[a, b]
-        return out + self.mask_features[np.bitwise_and.reduce(self.bits[rows])]
+        registry = self.registry
+        out = np.zeros(len(registry))
+        out[registry.unary_indices] = self.features[rows].sum(axis=0)
+        steps = zip(self.pairs, choice, choice[1:])
+        out[registry.pair_indices] = np.sum([block[a, b] for block, a, b in steps], axis=0)
+        out[registry.boolean_indices] = registry.mask_matrix[np.bitwise_and.reduce(self.bits[rows])]
+        return out

@@ -4,12 +4,13 @@ expected features), the regularized conditional log-likelihood objective,
 quasi-Newton training, and per-component decoding.
 
 Inference runs over many chains at once, in one `ChainBatch`: training lays
-out every instance in one batch, once, and each objective evaluation is one
-batched forward-backward pass over it; decode runs a document's components
-as one batch. A batch's states are built one layer (mention position) at a
-time for all its chains together, each layer by one expansion of the layer
-before, and numbered in their final order as they are built. The batch
-order is fixed (chains in instance order, states layer by layer), so every
+out every gold-labeled chain in one batch, once, and each objective
+evaluation is one batched forward-backward pass over it; decode runs a
+document's components as one batch. A batch's states are built one layer
+(mention position) at a time for all its chains together, each layer by one
+expansion of the layer before, and numbered in their final order as they
+are built. The batch
+order is fixed (chains in the given order, states layer by layer), so every
 sum runs in a fixed order and training is bit-reproducible for a given data
 order. A trained Model is immutable and may be read concurrently; decoding
 different documents in parallel is safe.
@@ -109,20 +110,6 @@ class Model:
             raise type(exc)(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class TrainingInstance:
-    """One gold-labeled component: its chain and the aggregate feature
-    vector of its gold assignment."""
-
-    chain: ComponentChain
-    gold_features: np.ndarray
-
-    @property
-    def features(self) -> np.ndarray:
-        """Unary rows of the chain, one per (mention, candidate)."""
-        return self.chain.features
-
-
 def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) -> np.ndarray:
     """log-sum-exp of each run of `values` that begins at one of `starts`;
     `segment` numbers each value's run."""
@@ -152,36 +139,35 @@ class ChainBatch:
     and sum-product gives log Z and the marginals (Lafferty, McCallum and
     Pereira 2001, with the mask added to the state).
 
-    The layout is built once and does not depend on the weights. The
-    chains' unary, pair and mask rows are stacked in chain order. States are
-    numbered layer by layer, layer i holding mention i's states of every
-    chain that long, and within a layer chain by chain, then by candidate,
-    then by mask. Layer 0 is every candidate of every chain's first mention;
-    each later layer is built from the one before, for all chains at once, by
-    one expansion of its states into the next mention's candidates. Each
-    state is keyed by its unary row and mask, so sorting the keys numbers
-    the new layer in that order and merges equal states. Transitions are
-    numbered step by step, one contiguous run per source state in state
-    order; the forward pass reads them through a stable sort by
-    destination. A pass takes one segmented numpy reduction per layer,
-    however many chains there are.
+    The layout is built once and does not depend on the weights. The chains'
+    unary and pair rows are stacked in chain order (the batch keeps these, not
+    the chains). The chains share one registry, whose `mask_matrix` serves
+    them all. States are numbered layer by layer, layer i holding mention i's
+    states of every chain that long, and within a layer chain by chain, then
+    by candidate, then by mask. Layer 0 is every candidate of every chain's
+    first mention; each later layer is built from the one before, for all
+    chains at once, by one expansion of its states into the next mention's
+    candidates. Each state is keyed by its unary row and mask, so sorting the
+    keys numbers the new layer in that order and merges equal states.
+    Transitions are numbered step by step, one contiguous run per source state
+    in state order; the forward pass reads them through a stable sort by
+    destination. A pass takes one segmented numpy reduction per layer, however
+    many chains there are.
     """
 
     def __init__(self, chains: Sequence[ComponentChain]):
-        self.chains = tuple(chains)
-        width = self.chains[0].features.shape[1] if self.chains else 0
-        no_rows, no_ints = np.zeros((0, width)), np.zeros(0, np.intp)
-        self.unary = np.concatenate([chain.features for chain in self.chains] or [no_rows])
-        self.pair = np.concatenate([b.reshape(-1, width) for chain in self.chains for b in chain.pairs] or [no_rows])
-        self.mask = np.concatenate([chain.mask_features for chain in self.chains] or [no_rows])
-        bits = np.concatenate([chain.bits for chain in self.chains] or [no_ints])
-        mask_rows = np.array([len(chain.mask_features) for chain in self.chains], np.intp)
-        mask_at = mask_rows.cumsum() - mask_rows  # each chain's first mask row
-        n_masks = int(mask_rows.max(initial=1))
+        self.n_chains = len(chains)
+        self.registry = registry = chains[0].registry if chains else FeatureRegistry(())
+        n_pair, n_masks = registry.pair_indices.size, len(registry.mask_matrix)
+        no_ints = np.zeros(0, np.intp)
+        self.unary = np.concatenate([np.zeros((0, registry.unary_indices.size))] + [c.features for c in chains])
+        self.pair = np.concatenate([np.zeros((0, n_pair))] + [b.reshape(-1, n_pair) for c in chains for b in c.pairs])
+        self.mask = registry.mask_matrix
+        bits = np.concatenate([no_ints] + [c.bits for c in chains])
 
         # Per mention, chain by chain: its candidate count, the next mention's
         # in its chain (0 for the last), and whether it starts its chain.
-        sizes = [chain.sizes for chain in self.chains]
+        sizes = [chain.sizes for chain in chains]
         size = np.array([k for s in sizes for k in s], np.intp)
         size_next = np.array([k for s in sizes for k in s[1:] + (0,)], np.intp)
         first = np.array([i == 0 for s in sizes for i in range(len(s))], bool)
@@ -227,12 +213,12 @@ class ChainBatch:
         self.state_cand = cand[self.state_row]
         self.state_chain = row_chain[self.state_row]
         self.end_states = (n_out[self.state_row] == 0).nonzero()[0]
-        # the last states' masks select the rows of their chain's boolean features
-        self.end_rows = mask_at[self.state_chain[self.end_states]] + state_mask[self.end_states]
+        # the last states' masks select their rows of the mask matrix
+        self.end_rows = state_mask[self.end_states]
         n_first = self.layer_at[1] if layers else 0
         self.first_rows, self.first_chain = self.state_row[:n_first], self.state_chain[:n_first]
         # each chain's first states: chain_at[c]:chain_at[c + 1]
-        self.chain_at = self.first_chain.searchsorted(np.arange(len(self.chains) + 1))
+        self.chain_at = self.first_chain.searchsorted(np.arange(self.n_chains + 1))
         self.edge_src, self.edge_dst, self.edge_pair = map(np.concatenate, zip(*edges))
         self.edge_chain = self.state_chain[self.edge_src]
         self.edge_unary = self.state_row[self.edge_dst]
@@ -254,9 +240,10 @@ class ChainBatch:
         """Log-potentials: each first-layer state's score, each transition's
         score (its pair row and its destination's unary row), and the boolean
         features' score at each chain's last-layer states."""
-        unary = self.unary @ weights
-        edge = (self.pair @ weights)[self.edge_pair] + unary[self.edge_unary]
-        return unary[self.first_rows], edge, (self.mask @ weights)[self.end_rows]
+        registry = self.registry
+        unary = self.unary @ weights[registry.unary_indices]
+        edge = (self.pair @ weights[registry.pair_indices])[self.edge_pair] + unary[self.edge_unary]
+        return unary[self.first_rows], edge, (self.mask @ weights[registry.boolean_indices])[self.end_rows]
 
     def _backward(self, edge: np.ndarray, end: np.ndarray, reduce) -> np.ndarray:
         """Per state, the reduced (max or log-sum) score of every way to
@@ -282,10 +269,12 @@ class ChainBatch:
         log_z = self._log_z(start, beta)
         states = np.exp(alpha + beta - log_z[self.state_chain])
         edges = np.exp(alpha[self.edge_src] + edge + beta[self.edge_dst] - log_z[self.edge_chain])
-        expected = (
-            np.bincount(self.state_row, states, minlength=len(self.unary)) @ self.unary
-            + np.bincount(self.edge_pair, edges, minlength=len(self.pair)) @ self.pair
-            + np.bincount(self.end_rows, states[self.end_states], minlength=len(self.mask)) @ self.mask
+        registry = self.registry
+        expected = np.zeros(len(registry))
+        expected[registry.unary_indices] = np.bincount(self.state_row, states, minlength=len(self.unary)) @ self.unary
+        expected[registry.pair_indices] = np.bincount(self.edge_pair, edges, minlength=len(self.pair)) @ self.pair
+        expected[registry.boolean_indices] = (
+            np.bincount(self.end_rows, states[self.end_states], minlength=len(self.mask)) @ self.mask
         )
         return log_z, expected
 
@@ -298,7 +287,7 @@ class ChainBatch:
         smallest id sequence wins: each mention takes the smallest id among
         the choices that still reach the best score.
         """
-        if not self.chains:
+        if not self.n_chains:
             return []
         start, edge, end = self._potentials(weights)
         best_rest = self._backward(edge, end, _segment_max)
@@ -325,13 +314,13 @@ class ChainBatch:
 
 
 class TrainingBatch:
-    """Training instances laid out once for `cll_objective`: their chains in
-    one `ChainBatch`, in instance order, and their gold feature vectors
-    summed."""
+    """Gold-labeled chains laid out once for `cll_objective`: the chains in
+    one `ChainBatch`, in the given order, and the aggregate feature vectors
+    of their gold assignments (a candidate position per mention) summed."""
 
-    def __init__(self, instances: Sequence[TrainingInstance]):
-        self.chains = ChainBatch([inst.chain for inst in instances])
-        self.gold = np.sum([inst.gold_features for inst in instances], axis=0)
+    def __init__(self, chains: Sequence[ComponentChain], gold_positions: Sequence[Sequence[int]]):
+        self.gold = np.sum([c.assignment_features(g) for c, g in zip(chains, gold_positions, strict=True)], axis=0)
+        self.chains = ChainBatch(chains)
 
 
 def cll_objective(weights: np.ndarray, batch: TrainingBatch, sigma: float) -> tuple[float, np.ndarray]:
@@ -343,7 +332,7 @@ def cll_objective(weights: np.ndarray, batch: TrainingBatch, sigma: float) -> tu
     weights = np.asarray(weights, dtype=float)
     value = -sigma * float(weights @ weights)
     grad = -2.0 * sigma * weights
-    if batch.chains.chains:
+    if batch.chains.n_chains:
         log_z, expected = batch.chains.expectation(weights)
         value += float(batch.gold @ weights) - float(log_z.sum())
         grad = grad + (batch.gold - expected)
@@ -351,7 +340,7 @@ def cll_objective(weights: np.ndarray, batch: TrainingBatch, sigma: float) -> tu
 
 
 def fit_weights(
-    instances: Sequence[TrainingInstance],
+    batch: TrainingBatch,
     sigma: float,
     dim: int,
     *,
@@ -373,7 +362,6 @@ def fit_weights(
     # than everything else that `entlink link` loads.
     from scipy.optimize import minimize
 
-    batch = TrainingBatch(instances)
     trace: list[float] = []
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -421,15 +409,16 @@ def build_training_instances(
     index: AnchorIndex,
     extractor: FeatureExtractor,
     config: PipelineConfig,
-) -> tuple[list[TrainingInstance], BuildStats]:
-    """Turn gold-labeled documents into per-component training instances.
+) -> tuple[list[ComponentChain], list[list[int]], BuildStats]:
+    """Turn gold-labeled documents into training chains: one chain per
+    component, the gold assignment's candidate positions in it, and stats.
 
     Components that do not train (see `_gold_labels`) are skipped and
     counted. When retrieval misses a mention's gold entity, the gold
     candidate is injected into that mention's list so the gold assignment is
     one of the chain's assignments; injections are counted in the stats.
     """
-    instances: list[TrainingInstance] = []
+    chains, gold_positions = [], []
     stats = BuildStats()
     for doc in docs:
         view = extractor.document_view(doc)
@@ -452,9 +441,9 @@ def build_training_instances(
                 lists.append(candidates)
                 gold_choice.append(ids.index(gold))
             stats.injected_gold += injected
-            chain = extractor.component_chain(component, lists, view)
-            instances.append(TrainingInstance(chain, chain.assignment_features(gold_choice)))
-    return instances, stats
+            chains.append(extractor.component_chain(component, lists, view))
+            gold_positions.append(gold_choice)
+    return chains, gold_positions, stats
 
 
 @dataclass
@@ -492,8 +481,10 @@ def train(
     pmi = train_pmi(gold_sequences, index, blacklist_threshold)
     registry = default_registry()
     extractor = FeatureExtractor(index, pmi, registry, window=config.context_window, top_n=config.top_n)
-    instances, stats = build_training_instances(docs, index, extractor, config)
-    weights, trace, converged = fit_weights(instances, config.sigma, len(registry), tol=tol, max_iter=max_iter)
+    chains, gold_positions, stats = build_training_instances(docs, index, extractor, config)
+    batch = TrainingBatch(chains, gold_positions)
+    del chains  # from here on the batch holds each row once
+    weights, trace, converged = fit_weights(batch, config.sigma, len(registry), tol=tol, max_iter=max_iter)
     model = Model(weights=weights, registry=registry, pmi=pmi, config=config)
     return TrainResult(model=model, objective_trace=trace, converged=converged, stats=stats)
 

@@ -39,9 +39,8 @@ def _check_cosine() -> None:
 # -- brute-force oracles, shared with the test suite ---------------------------------
 
 
-def fd_gradient(weights: np.ndarray, instances, sigma: float, h: float = 1e-5) -> np.ndarray:
-    """Gradient of `cll_objective` by central finite differences of its value."""
-    batch = TrainingBatch(instances)
+def fd_gradient(weights: np.ndarray, batch, sigma: float, h: float = 1e-5) -> np.ndarray:
+    """Gradient of `cll_objective` over a `TrainingBatch` by central finite differences."""
     grad = np.zeros_like(weights)
     for j in range(len(weights)):
         step = np.zeros_like(weights)
@@ -259,13 +258,13 @@ def _fixture_documents():
 def _check_gradient(seed: int) -> None:
     index = fixtures.toy_index()
     extractor = FeatureExtractor(index)
-    instances, _ = build_training_instances(_fixture_documents(), index, extractor, PipelineConfig())
-    batch = TrainingBatch(instances)
+    chains, gold_positions, _ = build_training_instances(_fixture_documents(), index, extractor, PipelineConfig())
+    batch = TrainingBatch(chains, gold_positions)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         w = rng.normal(size=len(extractor.registry))
         _, grad = cll_objective(w, batch, 0.5)
-        fd = fd_gradient(w, instances, 0.5)
+        fd = fd_gradient(w, batch, 0.5)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
         j = int(np.argmax(rel))
         assert rel[j] < 1e-5, f"gradient mismatch at {j}: {grad[j]} vs {fd[j]}"

@@ -11,11 +11,11 @@ import zlib
 import numpy as np
 
 from entlink.config import PipelineConfig
-from entlink.features import ComponentChain, PmiTable, default_registry
+from entlink.features import ComponentChain, FeatureRegistry, PmiTable, default_registry
 from entlink.fixtures import doc_from_spans
 from entlink import kb_store
 from entlink.kb_store import INDEX_FORMAT_VERSION, KbEntry, build_index
-from entlink.maxent import Model, TrainingInstance
+from entlink.maxent import Model, TrainingBatch
 from entlink.segmenter import MentionDocument
 from entlink.selfcheck import (  # noqa: F401  (re-exported to the tests)
     closure_oracle,
@@ -335,22 +335,36 @@ def random_chain_doc(rng: random.Random, doc_id: str, n_mentions: int, index=Non
 
 
 
-def random_chain_instance(rng, n_features=10, max_mentions=4, max_candidates=4, n_booleans=3):
-    """A training instance over a random chain: normal unary and pair
-    features, random boolean bits (ANDed into the first `n_booleans`
-    feature columns) and a random gold assignment."""
+# Ten real feature names, the three groups interleaved: 4 unary, 3 pair and
+# 3 boolean columns.
+SMALL_REGISTRY = FeatureRegistry((
+    "link_prior", "match_all_title", "outlink_overlap", "cos_text_text", "exact_match_redirect",
+    "nil_frequency", "inlink_overlap", "match_acronym", "cos_text_ctx", "title_cooccurrence",
+))
+
+
+def random_chain_instance(rng, max_mentions=4, max_candidates=4):
+    """A random chain over `SMALL_REGISTRY` (normal unary and pair features,
+    random boolean bits) and a random gold assignment: candidate positions."""
+    registry = SMALL_REGISTRY
     sizes = tuple(int(rng.integers(1, max_candidates + 1)) for _ in range(rng.integers(1, max_mentions + 1)))
-    features = rng.normal(size=(sum(sizes), n_features))
-    features[:, :n_booleans] = 0.0
-    masks = np.arange(1 << n_booleans)
-    mask_features = np.zeros((masks.size, n_features))
-    mask_features[:, :n_booleans] = (masks[:, None] >> np.arange(n_booleans)) & 1
     chain = ComponentChain(
         sizes=sizes,
-        features=features,
-        pairs=tuple(rng.normal(size=(a, b, n_features)) for a, b in zip(sizes, sizes[1:])),
-        bits=rng.integers(0, 1 << n_booleans, size=sum(sizes)),
-        mask_features=mask_features,
+        features=rng.normal(size=(sum(sizes), registry.unary_indices.size)),
+        pairs=tuple(rng.normal(size=(a, b, registry.pair_indices.size)) for a, b in zip(sizes, sizes[1:])),
+        bits=rng.integers(0, 1 << registry.boolean_indices.size, size=sum(sizes)),
+        registry=registry,
     )
-    gold = [int(rng.integers(k)) for k in sizes]
-    return TrainingInstance(chain, chain.assignment_features(gold))
+    return chain, [int(rng.integers(k)) for k in sizes]
+
+
+def permuted_registry() -> FeatureRegistry:
+    """The default registry's names in a fixed shuffled order."""
+    names = list(default_registry().names)
+    random.Random(21).shuffle(names)
+    return FeatureRegistry(names)
+
+
+def training_batch(instances) -> TrainingBatch:
+    """The `TrainingBatch` of (chain, gold positions) pairs."""
+    return TrainingBatch([chain for chain, _ in instances], [gold for _, gold in instances])

@@ -18,6 +18,7 @@ from conftest import (
     random_linking_kb,
     random_model,
     synthetic_corpus,
+    training_batch,
 )
 
 from entlink.config import PipelineConfig
@@ -58,10 +59,10 @@ def test_01_gradient_matches_finite_differences():
         rng = np.random.default_rng(1)
         started = time.perf_counter()
         for _ in range(20):
-            inst = random_chain_instance(rng)
+            batch = training_batch([random_chain_instance(rng)])
             weights = rng.normal(size=10)
-            _, grad = cll_objective(weights, TrainingBatch([inst]), sigma=0.5)
-            fd = fd_gradient(weights, [inst], sigma=0.5)
+            _, grad = cll_objective(weights, batch, sigma=0.5)
+            fd = fd_gradient(weights, batch, sigma=0.5)
             rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
             assert np.max(rel) < 1e-5, f"relative error {np.max(rel)} at coordinate {np.argmax(rel)}"
         assert time.perf_counter() - started < 5.0
@@ -147,12 +148,13 @@ def test_05_regularization_behavior():
         index = build_index(entries)
         config = PipelineConfig(max_candidates=5)
         extractor = FeatureExtractor(index, PmiTable(), default_registry())
-        instances, _ = build_training_instances(train_docs, index, extractor, config)
+        chains, gold_positions, _ = build_training_instances(train_docs, index, extractor, config)
+        batch = TrainingBatch(chains, gold_positions)
         dim = len(default_registry())
-        heavy, _, _ = fit_weights(instances, sigma=1e6, dim=dim)
+        heavy, _, _ = fit_weights(batch, sigma=1e6, dim=dim)
         assert float(np.linalg.norm(heavy)) < 1e-3
-        light, _, _ = fit_weights(instances, sigma=0.01, dim=dim)
-        medium, _, _ = fit_weights(instances, sigma=10.0, dim=dim)
+        light, _, _ = fit_weights(batch, sigma=0.01, dim=dim)
+        medium, _, _ = fit_weights(batch, sigma=10.0, dim=dim)
         assert float(np.linalg.norm(light)) > float(np.linalg.norm(medium))
 
 

@@ -18,9 +18,15 @@ UNREAD_SPANS = {
     "features.FeatureExtractor.tuple_features",
 }
 # Per-layer counts that read 0 if features stop calling a traced function,
-# the workload stops reaching KB candidates, or training stops evaluating the
-# objective through `maxent.cll_objective`.
-MUST_COUNT = ("text_vsm.cosine_calls", "features.distinct_candidate_entities", "maxent.cll_objective_calls")
+# the workload stops reaching KB candidates, training stops evaluating the
+# objective through `maxent.cll_objective`, or `build_training_instances`
+# stops returning, first, chains whose `features` hold one row per candidate.
+MUST_COUNT = (
+    "text_vsm.cosine_calls",
+    "features.distinct_candidate_entities",
+    "maxent.cll_objective_calls",
+    "segmenter.tuples_enumerated",
+)
 
 
 @pytest.mark.parametrize("workload", ["bulk", "collective"])

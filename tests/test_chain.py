@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from conftest import (
+    SMALL_REGISTRY,
     enumerate_tuples,
     oracle_argmax,
     oracle_cll,
@@ -81,17 +82,20 @@ def test_random_components_set_boolean_features():
     assert hits >= 5
 
 
-def random_bits_chain(rng: np.random.Generator, n_mentions: int, n_booleans: int = 3) -> ComponentChain:
-    """A chain of 1 to 4 candidates per mention whose booleans each hold with
-    probability 0.7, so ANDed masks stay varied over several mentions."""
+def random_bits_chain(rng: np.random.Generator, n_mentions: int) -> ComponentChain:
+    """A chain over `SMALL_REGISTRY` of 1 to 4 candidates per mention whose
+    booleans each hold with probability 0.7, so ANDed masks stay varied over
+    several mentions."""
+    registry = SMALL_REGISTRY
+    n_booleans = registry.boolean_indices.size
     sizes = tuple(int(k) for k in rng.integers(1, 5, size=n_mentions))
     bits = (rng.random((sum(sizes), n_booleans)) < 0.7) @ (1 << np.arange(n_booleans))
     return ComponentChain(
         sizes=sizes,
-        features=rng.normal(size=(sum(sizes), 2)),
-        pairs=tuple(rng.normal(size=(a, b, 2)) for a, b in zip(sizes, sizes[1:])),
+        features=rng.normal(size=(sum(sizes), registry.unary_indices.size)),
+        pairs=tuple(rng.normal(size=(a, b, registry.pair_indices.size)) for a, b in zip(sizes, sizes[1:])),
         bits=bits.astype(np.intp),
-        mask_features=np.zeros((1 << n_booleans, 2)),
+        registry=registry,
     )
 
 
@@ -104,7 +108,7 @@ def test_batch_states_equal_prefix_enumeration(seed, lengths):
     assignments, in (candidate, mask) order, chains in batch order; each
     step's transitions join every prefix's state to its one-longer
     extensions' at the two candidates' pair row; and each chain's last
-    states select its own mask rows."""
+    states select the batch's mask matrix row of their own mask."""
     rng = np.random.default_rng(seed)
     chains = [random_bits_chain(rng, n) for n in lengths]
     batch = ChainBatch(chains)
@@ -153,7 +157,7 @@ def test_batch_states_equal_prefix_enumeration(seed, lengths):
         last = lo + np.flatnonzero(batch.state_chain[lo:hi] == c)
         ends = np.flatnonzero(batch.state_chain[batch.end_states] == c)
         assert np.array_equal(batch.end_states[ends], last)
-        assert np.array_equal(batch.end_rows[ends], len(chain.mask_features) * c + mask[last])
+        assert np.array_equal(batch.end_rows[ends], mask[last])
     assert np.array_equal(batch.edge_unary, batch.state_row[batch.edge_dst])
     assert batch.end_states.size == sum(len(layers[-1]) for layers, _ in oracles)
 
@@ -196,13 +200,13 @@ def test_log_z_objective_and_gradient_equal_oracle(seed, n_mentions):
     weights = make_weights(rng, "normal")
     sigma = 0.5
     extractor = FeatureExtractor(index, PmiTable(), REGISTRY)
-    (inst,), _ = build_training_instances([doc], index, extractor, CONFIG)
+    (chain,), (gold_choice,), _ = build_training_instances([doc], index, extractor, CONFIG)
     component, assignments, features = oracle(index, doc)
     log_z = oracle_log_z(features @ weights)
     value, grad = oracle_cll([(features, gold_row(component, assignments))], weights, sigma)
 
-    (got_log_z,), _ = ChainBatch([inst.chain]).expectation(weights)
-    got_value, got_grad = cll_objective(weights, TrainingBatch([inst]), sigma)
+    (got_log_z,), _ = ChainBatch([chain]).expectation(weights)
+    got_value, got_grad = cll_objective(weights, TrainingBatch([chain], [gold_choice]), sigma)
     assert got_log_z == pytest.approx(log_z, rel=1e-9)
     assert got_value == pytest.approx(value, rel=1e-9)
     np.testing.assert_allclose(got_grad, grad, rtol=1e-9, atol=1e-9 * max(1.0, float(np.abs(grad).max())))
@@ -220,19 +224,22 @@ def test_batched_objective_equals_sum_of_per_chain_oracles(seed, lengths):
     docs = [random_chain_doc(rng, f"d{j}", n, index=index, k=K) for j, n in enumerate(lengths)]
     weights = make_weights(rng, "normal")
     sigma = 0.5
-    instances, _ = build_training_instances(docs, index, FeatureExtractor(index, PmiTable(), REGISTRY), CONFIG)
+    chains, gold_positions, _ = build_training_instances(
+        docs, index, FeatureExtractor(index, PmiTable(), REGISTRY), CONFIG
+    )
     components = []
     for doc in docs:
         component, assignments, features = oracle(index, doc)
         components.append((features, gold_row(component, assignments)))
 
-    value, grad = cll_objective(weights, TrainingBatch(instances), sigma)
+    value, grad = cll_objective(weights, TrainingBatch(chains, gold_positions), sigma)
     want_value, want_grad = oracle_cll(components, weights, sigma)
     assert value == pytest.approx(want_value, rel=1e-9)
     np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9 * max(1.0, float(np.abs(want_grad).max())))
-    shuffled = rng.sample(instances, len(instances))
-    assert cll_objective(weights, TrainingBatch(shuffled), sigma)[0] == pytest.approx(value, rel=1e-12, abs=1e-12)
-    if not instances:
+    shuffled = rng.sample(range(len(chains)), len(chains))
+    batch = TrainingBatch([chains[i] for i in shuffled], [gold_positions[i] for i in shuffled])
+    assert cll_objective(weights, batch, sigma)[0] == pytest.approx(value, rel=1e-12, abs=1e-12)
+    if not chains:
         assert value == -sigma * float(weights @ weights)
 
 

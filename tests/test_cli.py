@@ -657,8 +657,8 @@ class TestSelfcheck:
         def wrong_choice(self, weights, ids):
             # move each chain's first mention off its decoded candidate
             decoded = decode(self, weights, ids)
-            for chain, (choice, _) in zip(self.chains, decoded):
-                choice[0] = (choice[0] + 1) % chain.sizes[0]
+            for chain_ids, (choice, _) in zip(ids, decoded):
+                choice[0] = (choice[0] + 1) % len(chain_ids[0])
             return decoded
 
         monkeypatch.setattr(ChainBatch, "decode", wrong_choice)

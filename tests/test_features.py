@@ -4,11 +4,13 @@ import random
 
 import numpy as np
 import pytest
-from conftest import oracle_relation_frequencies
+from conftest import oracle_relation_frequencies, permuted_registry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entlink.features import (
+    BOOLEAN_FEATURES,
+    PAIR_FEATURES,
     FeatureExtractor,
     FeatureRegistry,
     PmiTable,
@@ -18,7 +20,7 @@ from entlink.features import (
     jaccard,
     train_pmi,
 )
-from entlink.fixtures import doc_from_spans, home_depot_document, toy_index, toy_kb_entries
+from entlink.fixtures import doc_from_spans, home_depot_document, toy_documents, toy_index, toy_kb_entries
 from entlink.kb_store import NIL, Candidate, KbEntry, build_index
 from entlink.segmenter import connected_components
 from entlink.text_vsm import cosine, term_freq, tokenize
@@ -48,6 +50,35 @@ class TestRegistry:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             FeatureRegistry(["a", "a"])
+
+    @pytest.mark.parametrize("registry", [default_registry(), permuted_registry()], ids=["default", "permuted"])
+    def test_column_groups_split_the_registry(self, registry):
+        """The unary, pair and boolean columns are named by the features in
+        them, whatever the registry order, and split its columns 16/5/3."""
+        groups = (registry.unary_indices, registry.pair_indices, registry.boolean_indices)
+        assert [g.size for g in groups] == [16, 5, 3]
+        assert sorted(np.concatenate(groups).tolist()) == list(range(24))
+        assert all(np.all(np.diff(g) > 0) for g in groups)
+        names = [{registry.names[i] for i in g} for g in groups]
+        assert names[1] == set(PAIR_FEATURES) and names[2] == BOOLEAN_FEATURES
+
+    def test_partial_vectors_fill_only_their_columns(self, toy):
+        """On the toy documents, mention partials are zero in the pair
+        columns, and pair partials are zero outside them."""
+        index, extractor = toy
+        registry = extractor.registry
+        outside_pairs = np.setdiff1d(np.arange(len(registry)), registry.pair_indices)
+        ids = set()
+        for doc in toy_documents():
+            view = extractor.document_view(doc)
+            for m in doc.mentions:
+                for c in index.fast_search(m.surface, 5):
+                    ids.add(c.entity_id)
+                    assert np.all(extractor.mention_entity_features(m, c, view)[registry.pair_indices] == 0.0)
+        assert len(ids) > 3
+        for a in sorted(ids):
+            for b in sorted(ids):
+                assert np.all(extractor.entity_entity_features(a, b)[outside_pairs] == 0.0)
 
 
 class TestHelpers:
@@ -298,16 +329,21 @@ class TestEntityEntityFeatures:
         assert feature(extractor, vec, "category_pmi") == pytest.approx(0.25)
 
 
-def test_cached_partial_vectors_are_read_only():
+def test_returned_pair_vectors_do_not_change_the_cache():
+    """A caller may change a pair vector it was given: a later call, and a
+    chain built afterwards, still read the cached values."""
+    doc = home_depot_document()
+    (component,) = connected_components(doc, gap=4)
+    assignment = (Candidate("HOME_DEPOT", 1.0), Candidate("ROBERT_NARDELLI", 0.5))
+    fresh = FeatureExtractor(toy_index())
+    want = assignment_vector(fresh, component, fresh.document_view(doc), assignment)
     extractor = FeatureExtractor(toy_index())
-    vec = extractor.entity_entity_features("HOME_DEPOT", "ROBERT_NARDELLI")
+    vec = extractor.entity_entity_features("HOME_DEPOT", "ROBERT_NARDELLI")  # fills the cache
     original = vec.copy()
     assert np.any(original != 0.0)
-    with pytest.raises(ValueError):
-        vec[:] = 7.0
-    with pytest.raises(ValueError):
-        vec += 1.0
+    vec[:] = 7.0
     assert np.array_equal(extractor.entity_entity_features("HOME_DEPOT", "ROBERT_NARDELLI"), original)
+    assert np.array_equal(assignment_vector(extractor, component, extractor.document_view(doc), assignment), want)
 
 
 def assignment_vector(extractor, component, view, assignment):

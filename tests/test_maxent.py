@@ -1,29 +1,41 @@
 """Classifier tests: probabilities, objective/gradient, training, decoding."""
 
 import dataclasses
+import gc
 import json
 import math
 import random
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from conftest import (
+    SMALL_REGISTRY,
     enumerate_tuples,
     fd_gradient,
     oracle_argmax,
     oracle_features,
+    permuted_registry,
     random_chain_instance,
     random_linking_doc,
     random_linking_kb,
     random_model,
     synthetic_corpus,
+    training_batch,
 )
 
 from entlink import text_vsm
 from entlink.config import PipelineConfig
-from entlink.features import ComponentChain, FeatureExtractor, FeatureRegistry, PmiTable, default_registry
+from entlink.features import (
+    COSINE_FEATURES,
+    ComponentChain,
+    FeatureExtractor,
+    FeatureRegistry,
+    PmiTable,
+    default_registry,
+)
 from entlink.fixtures import home_depot_document, toy_documents, toy_index
 from entlink.kb_store import NIL, Candidate, FormatVersionError, build_index
 from entlink.maxent import (
@@ -33,7 +45,6 @@ from entlink.maxent import (
     Prediction,
     TrainingBatch,
     TrainingError,
-    TrainingInstance,
     build_training_instances,
     cll_objective,
     decode,
@@ -45,14 +56,15 @@ from entlink.segmenter import connected_components
 
 
 def single_mention_chain(features):
-    """A one-mention chain whose candidates have the given unary rows."""
+    """A one-mention chain whose candidates have the given unary rows, over
+    a registry of that many unary features."""
     features = np.asarray(features, dtype=float)
     return ComponentChain(
         sizes=(features.shape[0],),
         features=features,
         pairs=(),
         bits=np.zeros(features.shape[0], dtype=np.intp),
-        mask_features=np.zeros((1, features.shape[1])),
+        registry=FeatureRegistry(COSINE_FEATURES[: features.shape[1]]),
     )
 
 
@@ -72,28 +84,27 @@ class TestSoftmax:
 class TestObjective:
     def test_zero_weights_uniform_log_likelihood(self):
         chain = single_mention_chain(np.ones((4, 3)))
-        inst = TrainingInstance(chain, chain.assignment_features([2]))
-        value, _ = cll_objective(np.zeros(3), TrainingBatch([inst]), sigma=0.5)
+        value, _ = cll_objective(np.zeros(3), TrainingBatch([chain], [[2]]), sigma=0.5)
         assert value == pytest.approx(math.log(1 / 4), abs=1e-12)
 
     def test_empty_data_is_pure_regularizer(self):
         w = np.array([1.0, -2.0, 3.0])
-        value, grad = cll_objective(w, TrainingBatch([]), sigma=0.5)
+        value, grad = cll_objective(w, TrainingBatch([], []), sigma=0.5)
         assert value == pytest.approx(-0.5 * float(w @ w))
         assert np.allclose(grad, -2 * 0.5 * w)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        inst = random_chain_instance(rng)
+        batch = training_batch([random_chain_instance(rng)])
         w = rng.normal(size=10)
-        _, grad = cll_objective(w, TrainingBatch([inst]), sigma=0.5)
-        fd = fd_gradient(w, [inst], sigma=0.5)
+        _, grad = cll_objective(w, batch, sigma=0.5)
+        fd = fd_gradient(w, batch, sigma=0.5)
         rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full(10, 1e-8)])
         assert np.max(rel) < 1e-5
 
     def test_concavity_probe(self):
         rng = np.random.default_rng(9)
-        batch = TrainingBatch([random_chain_instance(rng) for _ in range(3)])
+        batch = training_batch([random_chain_instance(rng) for _ in range(3)])
         w = rng.normal(size=10)
         for _ in range(10):
             direction = rng.normal(size=10)
@@ -107,10 +118,10 @@ class TestObjective:
 class TestFitWeights:
     def test_converges_and_trace_monotone(self):
         rng = np.random.default_rng(3)
-        instances = [random_chain_instance(rng) for _ in range(5)]
-        weights, trace, converged = fit_weights(instances, sigma=0.5, dim=10)
+        batch = training_batch([random_chain_instance(rng) for _ in range(5)])
+        weights, trace, converged = fit_weights(batch, sigma=0.5, dim=10)
         assert converged
-        _, grad = cll_objective(weights, TrainingBatch(instances), 0.5)
+        _, grad = cll_objective(weights, batch, 0.5)
         assert np.max(np.abs(grad)) <= 1e-6
         for earlier, later in zip(trace, trace[1:]):
             assert later >= earlier - 1e-12
@@ -119,7 +130,7 @@ class TestFitWeights:
         import entlink.maxent as maxent
 
         rng = np.random.default_rng(4)
-        instances = [random_chain_instance(rng) for _ in range(5)]
+        batch = training_batch([random_chain_instance(rng) for _ in range(5)])
         evaluated = []
 
         def counted(w, *args):
@@ -127,27 +138,26 @@ class TestFitWeights:
             return cll_objective(w, *args)
 
         monkeypatch.setattr(maxent, "cll_objective", counted)
-        weights, trace, _ = fit_weights(instances, sigma=0.5, dim=10)
+        weights, trace, _ = fit_weights(batch, sigma=0.5, dim=10)
         # one evaluation per point the optimizer asked for, none repeated
         assert not any(np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
         assert len(evaluated) <= len(trace) - 1 + 5
-        assert trace[0] == cll_objective(np.zeros(10), TrainingBatch(instances), 0.5)[0]
-        assert trace[-1] == cll_objective(weights, TrainingBatch(instances), 0.5)[0]
+        assert trace[0] == cll_objective(np.zeros(10), batch, 0.5)[0]
+        assert trace[-1] == cll_objective(weights, batch, 0.5)[0]
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
-            fit_weights([], sigma=0.0, dim=3)
+            fit_weights(TrainingBatch([], []), sigma=0.0, dim=3)
 
     def test_non_finite_objective_aborts(self):
         chain = single_mention_chain([[np.nan, 1.0], [0.0, 0.0]])
-        bad = TrainingInstance(chain, chain.assignment_features([0]))
         with pytest.raises(TrainingError):
-            fit_weights([bad], sigma=0.5, dim=2)
+            fit_weights(TrainingBatch([chain], [[0]]), sigma=0.5, dim=2)
 
     def test_strong_regularization_shrinks_weights(self):
         rng = np.random.default_rng(12)
-        instances = [random_chain_instance(rng) for _ in range(5)]
-        weights, _, _ = fit_weights(instances, sigma=1e6, dim=10)
+        batch = training_batch([random_chain_instance(rng) for _ in range(5)])
+        weights, _, _ = fit_weights(batch, sigma=1e6, dim=10)
         assert np.linalg.norm(weights) < 1e-3
 
 
@@ -201,19 +211,20 @@ class TestDecode:
     def test_constant_feature_leaves_argmax_unchanged(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            chain = random_chain_instance(rng).chain
+            chain, _ = random_chain_instance(rng)
             ids = [sorted(rng.choice(["A", "B", "C", "D", NIL], size=k, replace=False)) for k in chain.sizes]
             weights = rng.normal(size=10)
-            # a feature equal to 1 at every candidate of the first mention
-            # adds its weight to every assignment's score
+            # a unary feature, last in the registry, equal to 1 at every
+            # candidate of the first mention adds its weight to every
+            # assignment's score
             constant = np.zeros(chain.features.shape[0])
             constant[: chain.sizes[0]] = 1.0
             shifted = ComponentChain(
                 sizes=chain.sizes,
                 features=np.column_stack([chain.features, constant]),
-                pairs=tuple(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=2) for p in chain.pairs),
+                pairs=chain.pairs,
                 bits=chain.bits,
-                mask_features=np.column_stack([chain.mask_features, np.zeros(len(chain.mask_features))]),
+                registry=FeatureRegistry(SMALL_REGISTRY.names + ("cos_ctx_ctx",)),
             )
             ((before, _),) = ChainBatch([chain]).decode(weights, [ids])
             ((after, _),) = ChainBatch([shifted]).decode(np.append(weights, 3.7), [ids])
@@ -249,6 +260,21 @@ class TestDecode:
         doc = doc_from_spans("zh", "李娜 夺得 网球 大 满贯 冠军", [("m", "李娜", None)])
         (prediction,) = decode(model, doc, index)
         assert prediction.entity_id == "LI_NA_TENNIS"
+
+    def test_registry_order_does_not_change_decode(self):
+        """The toy documents decode to the same entities, with the same
+        scores up to rounding, under a permuted registry with the weights
+        permuted alike."""
+        index = toy_index()
+        registry, permuted = default_registry(), permuted_registry()
+        assert permuted != registry
+        weights = np.random.default_rng(1).normal(size=len(registry))
+        moved = weights[[registry.index(name) for name in permuted.names]]
+        for doc in toy_documents():
+            want = decode(Model(weights, registry, PmiTable(), PipelineConfig()), doc, index)
+            got = decode(Model(moved, permuted, PmiTable(), PipelineConfig()), doc, index)
+            assert [p.entity_id for p in got] == [p.entity_id for p in want]
+            assert [p.score for p in got] == pytest.approx([p.score for p in want], rel=1e-12)
 
     @pytest.mark.parametrize("setting", ["index", "pmi", "registry", "window", "top_n"])
     def test_mismatched_extractor_rejected(self, setting):
@@ -315,14 +341,14 @@ class TestTraining:
         from entlink.fixtures import doc_from_spans
 
         doc = doc_from_spans("d", "Nardelli sang", [("m", "Nardelli", "STEVE_NARDELLI")])
-        instances, stats = build_training_instances([doc], index, extractor, config)
+        (chain,), (gold_choice,), stats = build_training_instances([doc], index, extractor, config)
         assert stats.injected_gold == 1
-        (inst,) = instances
         (component,) = connected_components(doc, config.gap)
         gold = (Candidate("STEVE_NARDELLI", index.link_prior("Nardelli", "STEVE_NARDELLI")),)
         expected = oracle_features(extractor, component, [gold], extractor.document_view(doc))[0]
-        assert np.array_equal(inst.gold_features, expected)
-        assert inst.features.shape[0] == 3  # ROBERT_NARDELLI, injected STEVE_NARDELLI, NIL
+        assert np.array_equal(chain.assignment_features(gold_choice), expected)
+        assert np.array_equal(TrainingBatch([chain], [gold_choice]).gold, expected)
+        assert chain.features.shape[0] == 3  # ROBERT_NARDELLI, injected STEVE_NARDELLI, NIL
 
     def test_unlabeled_components_skipped(self):
         index = toy_index()
@@ -331,8 +357,8 @@ class TestTraining:
         from entlink.fixtures import doc_from_spans
 
         doc = doc_from_spans("d", "Atlanta is warm", [("m", "Atlanta", None)])
-        instances, stats = build_training_instances([doc], index, extractor, config)
-        assert instances == []
+        chains, gold_positions, stats = build_training_instances([doc], index, extractor, config)
+        assert chains == gold_positions == []
         assert stats.skipped_unlabeled == 1
 
     def test_gold_index_points_at_gold_tuple(self):
@@ -340,13 +366,12 @@ class TestTraining:
         config = PipelineConfig()
         extractor = FeatureExtractor(index, PmiTable(), default_registry())
         doc = home_depot_document()
-        instances, _ = build_training_instances([doc], index, extractor, config)
-        (inst,) = instances
+        (chain,), (gold_choice,), _ = build_training_instances([doc], index, extractor, config)
         (component,) = connected_components(doc, config.gap)
         assignments = enumerate_tuples(component, index, config.max_candidates)
         (gold,) = [a for a in assignments if tuple(c.entity_id for c in a) == ("HOME_DEPOT", "ROBERT_NARDELLI")]
         expected = oracle_features(extractor, component, [gold], extractor.document_view(doc))[0]
-        assert np.array_equal(inst.gold_features, expected)
+        assert np.array_equal(chain.assignment_features(gold_choice), expected)
 
     def test_training_learns_context_disambiguation(self):
         rng = random.Random(42)
@@ -384,6 +409,57 @@ class TestTraining:
         first = train(train_docs, index, PipelineConfig(max_candidates=5))
         second = train(train_docs, index, PipelineConfig(max_candidates=5))
         assert np.array_equal(first.model.weights, second.model.weights)
+
+
+class TestRowsHeldOnce:
+    """A batch keeps its own copy of the chains' rows, not the chains, so
+    once the caller lets go of them each row is held once."""
+
+    def chains(self):
+        index = toy_index()
+        extractor = FeatureExtractor(index)
+        (chains, gold_positions, _) = build_training_instances(toy_documents(), index, extractor, PipelineConfig())
+        assert len(chains) > 1
+        return chains, gold_positions
+
+    def test_chain_batch_keeps_no_chain(self):
+        chains, _ = self.chains()
+        refs = [weakref.ref(chain) for chain in chains]
+        batch = ChainBatch(chains)
+        del chains
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert batch.n_chains == len(refs)
+
+    def test_training_batch_keeps_no_chain(self):
+        chains, gold_positions = self.chains()
+        refs = [weakref.ref(chain) for chain in chains]
+        batch = TrainingBatch(chains, gold_positions)
+        del chains
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert batch.chains.n_chains == len(refs)
+
+    def test_no_training_chain_is_alive_while_the_optimizer_runs(self, monkeypatch):
+        import entlink.maxent as maxent
+
+        build, fit = FeatureExtractor.component_chain, maxent.fit_weights
+        refs, alive = [], []
+
+        def building(*args):
+            chain = build(*args)
+            refs.append(weakref.ref(chain))
+            return chain
+
+        def fitting(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(FeatureExtractor, "component_chain", building)
+        monkeypatch.setattr(maxent, "fit_weights", fitting)
+        train(toy_documents(), toy_index())
+        assert len(refs) > 1 and alive == [0]
 
 
 def test_each_document_is_tokenized_once(monkeypatch):
