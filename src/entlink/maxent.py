@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -350,43 +351,65 @@ def fit_weights(
     """Maximize the objective with L-BFGS (memory 10) from a zero start.
 
     Returns (weights, per-iterate objective trace, converged). The objective
-    is concave, so any stationary point is the global optimum; accepted steps
-    never decrease the objective. The trace (the start point, then each
-    accepted iterate) and the convergence test read the optimizer's own
-    values: its first evaluation, which is at the start point, its callback's
-    objective and its final gradient.
+    is concave, so any stationary point is the global optimum. The trace is
+    the start point, then each accepted iterate.
+
+    This is the two-loop recursion of Liu & Nocedal (1989) on the negated
+    objective. The first step is 1/max(1, |g|) along the gradient; later
+    ones start at 1 along the two-loop direction, with H0 = (s.y)/(y.y) of
+    the newest pair. A step is halved until it meets the Armijo condition
+    and is no worse, so the trace never decreases; if 20 trials fail, the
+    search ends where it is. It also ends once every gradient component is
+    at most `tol`, once an iteration improves the objective by at most
+    1e-14 relative, or after `max_iter` iterations.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    # Imported here: only training needs scipy, and it takes longer to import
-    # than everything else that `entlink link` loads.
-    from scipy.optimize import minimize
-
-    trace: list[float] = []
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = cll_objective(w, batch, sigma)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise TrainingError("non-finite objective during line search")
-        if not trace:
-            trace.append(value)
         return -value, -grad
 
-    # scipy hands the accepted iterate, as an OptimizeResult, to a callback
-    # whose one parameter has this name.
-    def record(intermediate_result) -> None:
-        trace.append(-intermediate_result.fun)
-
-    result = minimize(
-        negated,
-        np.zeros(dim),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={"maxcor": 10, "maxiter": max_iter, "gtol": tol, "ftol": 1e-14},
-    )
-    converged = bool(np.max(np.abs(result.jac), initial=0.0) <= tol)
-    return np.asarray(result.x, dtype=float), trace, converged
+    weights = np.zeros(dim)
+    f, g = negated(weights)
+    trace = [-f]
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=10)  # (s, y, s.y), oldest first
+    for _ in range(max_iter):
+        if np.max(np.abs(g), initial=0.0) <= tol:
+            break
+        # direction = -H g, H the inverse-Hessian estimate of the pairs
+        direction = -g
+        alphas = []
+        for s, y, sy in reversed(pairs):
+            alphas.append(float(s @ direction) / sy)
+            direction = direction - alphas[-1] * y
+        if pairs:
+            s, y, sy = pairs[-1]
+            direction = direction * (sy / float(y @ y))
+        for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+            direction = direction + (alpha - float(y @ direction) / sy) * s
+        step = 1.0 if pairs else 1.0 / max(1.0, float(np.linalg.norm(g)))
+        slope = float(g @ direction)
+        for _ in range(20):
+            trial = weights + step * direction
+            f_trial, g_trial = negated(trial)
+            if f_trial <= f + 1e-4 * step * slope and f_trial <= f:
+                break
+            step /= 2
+        else:
+            break  # no acceptable step: keep the last iterate
+        s, y = trial - weights, g_trial - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, sy))
+        decrease = (f - f_trial) / max(abs(f), abs(f_trial), 1.0)
+        weights, f, g = trial, f_trial, g_trial
+        trace.append(-f)
+        if decrease <= 1e-14:
+            break
+    return weights, trace, bool(np.max(np.abs(g), initial=0.0) <= tol)
 
 
 @dataclass

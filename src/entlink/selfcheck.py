@@ -20,10 +20,10 @@ import zlib
 import numpy as np
 
 from . import fixtures, kb_store
-from .config import PipelineConfig
+from .config import TOL, PipelineConfig
 from .features import LINK_RELATIONS, FeatureExtractor, count_contiguous, default_registry, train_pmi
 from .kb_store import build_index, normalize_name
-from .maxent import NEAR_TIE, Model, TrainingBatch, build_training_instances, cll_objective, decode
+from .maxent import NEAR_TIE, Model, TrainingBatch, build_training_instances, cll_objective, decode, fit_weights
 from .segmenter import connected_components
 from .text_vsm import TermVector, context_window, cosine, tokenize, words
 
@@ -255,19 +255,36 @@ def _fixture_documents():
     return fixtures.toy_documents() + [chain_doc]
 
 
-def _check_gradient(seed: int) -> None:
+def _fixture_batch() -> TrainingBatch:
+    """The training batch of the fixture documents over the toy index."""
     index = fixtures.toy_index()
     extractor = FeatureExtractor(index)
     chains, gold_positions, _ = build_training_instances(_fixture_documents(), index, extractor, PipelineConfig())
-    batch = TrainingBatch(chains, gold_positions)
+    return TrainingBatch(chains, gold_positions)
+
+
+def _check_gradient(seed: int) -> None:
+    batch = _fixture_batch()
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        w = rng.normal(size=len(extractor.registry))
+        w = rng.normal(size=len(default_registry()))
         _, grad = cll_objective(w, batch, 0.5)
         fd = fd_gradient(w, batch, 0.5)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
         j = int(np.argmax(rel))
         assert rel[j] < 1e-5, f"gradient mismatch at {j}: {grad[j]} vs {fd[j]}"
+
+
+def _check_fit_weights() -> None:
+    """The fitted weights are a stationary point by finite differences, and
+    the objective never fell on the way there."""
+    batch = _fixture_batch()
+    weights, trace, _ = fit_weights(batch, 0.5, len(default_registry()))
+    fd = fd_gradient(weights, batch, 0.5)
+    j = int(np.argmax(np.abs(fd)))
+    assert abs(fd[j]) <= 2 * TOL, f"finite-difference gradient {fd[j]} at {j} after fitting"
+    falls = [i for i, (a, b) in enumerate(zip(trace, trace[1:]), 1) if b < a]
+    assert not falls, f"objective fell at iterate {falls[0]}"
 
 
 def _check_decode_brute_force(seed: int) -> None:
@@ -379,6 +396,7 @@ def run_selfcheck(seed: int = 0) -> int:
         ("connected-components-oracle", lambda: _check_components(seed)),
         ("index-determinism", lambda: _check_index_determinism(seed)),
         ("end-to-end-toy-decode", _check_end_to_end),
+        ("fit-weights-stationary", _check_fit_weights),
     ]
     failures = 0
     for name, check in checks:

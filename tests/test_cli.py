@@ -621,14 +621,41 @@ def test_defaults_have_one_definition():
             assert inspect.signature(fn).parameters[name].default == constants[name], (fn.__name__, name)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Only training imports scipy, so `link`, `eval` and `build-index` start
-    without it."""
+# Runs `entlink` with every scipy import refused, then lists the scipy
+# modules that were loaded.
+WITHOUT_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from entlink.cli import run
+status = run(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(status)
+"""
+
+
+def test_train_runs_without_scipy(toy_paths):
+    """`entlink train` needs no scipy: with every scipy import refused, it
+    still writes a model, and no scipy module is loaded."""
+    tmp_path, kb_path, docs_path = toy_paths
+    index_path, model_path = tmp_path / "toy.idx", tmp_path / "model.json"
+    assert run(["build-index", "--kb", kb_path, "--out", str(index_path)]) == 0
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, entlink.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, "train", "--kb-index", str(index_path),
+         "--train", docs_path, "--out", str(model_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    assert json.loads(model_path.read_text())["format_version"] == MODEL_FORMAT_VERSION
 
 
 SELFCHECKS = [
@@ -638,6 +665,7 @@ SELFCHECKS = [
     "connected-components-oracle",
     "index-determinism",
     "end-to-end-toy-decode",
+    "fit-weights-stationary",
 ]
 
 
@@ -664,6 +692,18 @@ class TestSelfcheck:
         monkeypatch.setattr(ChainBatch, "decode", wrong_choice)
         assert run_selfcheck(0) >= 1
         assert "selfcheck decode-vs-brute-force: FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_catches_an_unfitted_model(self, monkeypatch, capsys):
+        import entlink.selfcheck
+
+        def start_point(batch, sigma, dim, **kwargs):
+            # stop where the optimizer starts, as if it took no step
+            weights = [0.0] * dim
+            return weights, [entlink.selfcheck.cll_objective(weights, batch, sigma)[0]], True
+
+        monkeypatch.setattr(entlink.selfcheck, "fit_weights", start_point)
+        assert entlink.selfcheck.run_selfcheck(0) >= 1
+        assert "selfcheck fit-weights-stationary: FAILED" in capsys.readouterr().out
 
     def test_selfcheck_catches_a_scaled_gradient(self, monkeypatch, capsys):
         import entlink.selfcheck

@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     SMALL_REGISTRY,
     enumerate_tuples,
@@ -27,7 +29,7 @@ from conftest import (
 )
 
 from entlink import text_vsm
-from entlink.config import PipelineConfig
+from entlink.config import MAX_ITER, TOL, PipelineConfig
 from entlink.features import (
     COSINE_FEATURES,
     ComponentChain,
@@ -144,6 +146,95 @@ class TestFitWeights:
         assert len(evaluated) <= len(trace) - 1 + 5
         assert trace[0] == cll_objective(np.zeros(10), batch, 0.5)[0]
         assert trace[-1] == cll_objective(weights, batch, 0.5)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_chains=st.integers(1, 5), sigma=st.floats(0.01, 10))
+    def test_stops_at_a_stationary_point_or_a_stall(self, seed, n_chains, sigma):
+        """The search ends once every gradient component is within `tol`, or,
+        on a rare batch, once a step improved the objective by at most 1e-14
+        relative, as scipy's L-BFGS-B does with that `ftol`. `converged`
+        tells the two apart."""
+        rng = np.random.default_rng(seed)
+        batch = training_batch([random_chain_instance(rng) for _ in range(n_chains)])
+        weights, trace, converged = fit_weights(batch, sigma, dim=10)
+        value, grad = cll_objective(weights, batch, sigma)
+        assert converged == (np.max(np.abs(grad)) <= TOL)
+        if not converged:
+            assert trace[-1] - trace[-2] <= 1e-14 * max(abs(trace[-1]), abs(trace[-2]), 1.0)
+        assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
+        assert trace[0] == cll_objective(np.zeros(10), batch, sigma)[0]
+        assert trace[-1] == value
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0])
+    def test_takes_scipys_steps(self, sigma):
+        """On the toy training batch, scipy's L-BFGS-B takes the same steps:
+        the same iteration count and the same weights up to rounding."""
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        index = toy_index()
+        chains, gold_positions, _ = build_training_instances(
+            toy_documents(), index, FeatureExtractor(index), PipelineConfig()
+        )
+        batch = TrainingBatch(chains, gold_positions)
+        dim = len(default_registry())
+
+        def negated(w):
+            value, grad = cll_objective(w, batch, sigma)
+            return -value, -grad
+
+        iterations = []
+        expected = minimize(
+            negated, np.zeros(dim), jac=True, method="L-BFGS-B",
+            callback=lambda intermediate_result: iterations.append(intermediate_result.fun),
+            options={"maxcor": 10, "maxiter": MAX_ITER, "gtol": TOL, "ftol": 1e-14},
+        )
+        weights, trace, converged = fit_weights(batch, sigma, dim)
+        assert converged
+        assert len(trace) - 1 == len(iterations)
+        assert np.max(np.abs(weights - expected.x)) <= 1e-12 * np.max(np.abs(expected.x))
+
+    def test_empty_batch_stays_at_zero(self):
+        weights, trace, converged = fit_weights(TrainingBatch([], []), sigma=0.5, dim=4)
+        assert np.array_equal(weights, np.zeros(4))
+        assert trace == [0.0]
+        assert converged
+
+    def test_max_iter_caps_the_iterations(self):
+        rng = np.random.default_rng(3)
+        batch = training_batch([random_chain_instance(rng) for _ in range(5)])
+        _, trace, converged = fit_weights(batch, sigma=0.5, dim=10, max_iter=1)
+        assert len(trace) == 2
+        assert not converged
+
+    def test_a_stall_ends_the_search(self):
+        """With a tolerance no gradient meets, the search ends at the first
+        step that improves the objective by at most 1e-14 relative."""
+        rng = np.random.default_rng(3)
+        batch = training_batch([random_chain_instance(rng) for _ in range(5)])
+        _, trace, converged = fit_weights(batch, sigma=0.5, dim=10, tol=0.0)
+        assert not converged
+        stalls = [b - a <= 1e-14 * max(abs(a), abs(b), 1.0) for a, b in zip(trace, trace[1:])]
+        assert stalls.index(True) == len(stalls) - 1 < 50
+
+    def test_a_failed_line_search_ends_the_search(self, monkeypatch):
+        """Once every trial point is worse, the search stops at the last
+        accepted iterate and adds no worse entry to the trace."""
+        import entlink.maxent as maxent
+
+        rng = np.random.default_rng(3)
+        batch = training_batch([random_chain_instance(rng) for _ in range(5)])
+        values = []
+
+        def worse_after_three(w, *args):
+            value, grad = cll_objective(w, *args)
+            values.append(value if len(values) < 3 else value - 1e6)
+            return values[-1], grad
+
+        monkeypatch.setattr(maxent, "cll_objective", worse_after_three)
+        weights, trace, converged = fit_weights(batch, sigma=0.5, dim=10)
+        assert trace == values[:3]
+        assert len(values) == 3 + 20  # every halving of the fourth step was tried
+        assert cll_objective(weights, batch, 0.5)[0] == trace[-1]
+        assert not converged
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
