@@ -122,13 +122,15 @@ class AnchorIndex:
     """Anchor-text index plus the link structures derived from a KB.
 
     postings map a normalized anchor to (entity id, count) pairs sorted by
-    descending count, ties by ascending id, so identical KBs always produce
-    identical indexes regardless of record order.
+    descending count, ties by ascending id, and inlinks map an entity id to
+    the ids of the pages that link to it, in ascending order, each once, so
+    identical KBs always produce identical indexes regardless of record
+    order.
     """
 
     entries: dict[str, KbEntry]
     postings: dict[str, list[tuple[str, int]]]
-    inlinks: dict[str, frozenset[str]]
+    inlinks: dict[str, tuple[str, ...]]  # entity id -> ids of the pages that link to it, sorted
     redirect_map: dict[str, str]
     outlink_counts: dict[str, dict[str, int]]  # page id -> resolved target id -> link count
     dangling_links: int = 0
@@ -349,7 +351,17 @@ def _collector_paused() -> Iterator[bool]:
 
 
 def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
-    """`build_index` itself, which runs it with the collector paused."""
+    """`build_index` itself, which runs it with the collector paused.
+
+    After the redirect map, one pass over the entries in id order derives
+    the rest, holding no second copy of the links: each link's target is
+    resolved once per distinct target and its anchor normalized once per
+    distinct anchor (`_Memo`), each normalized anchor counts its postings in
+    a small dict, replaced by its sorted list at the end, and each page
+    counts its outlinks in place. A page joins a target's inlinks at its
+    first link there, so with the ids in order each tuple of inlinks comes
+    out sorted, with no duplicates.
+    """
     entries: dict[str, KbEntry] = {}
     for record in kb_records:
         if not record.id or is_nil_label(record.id):
@@ -357,67 +369,74 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
         if record.id in entries:
             raise KbError(f"duplicate KB id {record.id!r}")
         entries[record.id] = record
-
     ids = sorted(entries)
-    outlinks = [entries[eid].outlinks for eid in ids]
-    anchors = [anchor for links in outlinks for anchor, _ in links]
-    targets = [target for links in outlinks for _, target in links]
-    titles = [entries[eid].title for eid in ids]
-    aliases = [(alias, eid) for eid in ids for alias in entries[eid].redirects]
-    unresolved = set(targets) - entries.keys()
-    keys = {name: normalize_name(name) for name in {*titles, *anchors, *unresolved, *(a for a, _ in aliases)}}
 
     # Titles claim normalized names first, then redirects; within each pass
     # the smallest entity id wins, which makes the map order-independent.
     redirect_map: dict[str, str] = {}
-    for name, eid in chain(zip(titles, ids), aliases):
-        redirect_map.setdefault(keys[name], eid)
+    for eid in ids:
+        redirect_map.setdefault(normalize_name(entries[eid].title), eid)
+    for eid in ids:
+        for alias in entries[eid].redirects:
+            redirect_map.setdefault(normalize_name(alias), eid)
     redirect_map.pop("", None)
 
-    resolve = {t: t if t in entries else redirect_map.get(keys[t]) for t in set(targets)}
-    resolved = list(map(resolve.__getitem__, targets))
-    # A link that resolves nowhere is posted under its raw target.
-    posted = {t: t if r is None else r for t, r in resolve.items()}
-
-    postings: dict[str, list[tuple[str, int]]] = {}
-    anchor_counts = Counter(zip(map(keys.__getitem__, anchors), map(posted.__getitem__, targets)))
-    for (akey, target), count in anchor_counts.items():
-        if akey:
-            plist = postings.get(akey)
-            if plist is None:
-                postings[akey] = [(target, count)]
+    keys = _Memo(normalize_name)
+    resolve = _Memo(lambda target: target if target in entries else redirect_map.get(keys[target]))
+    postings: dict = {}  # normalized anchor -> {posted target: count}, then its sorted list
+    outlink_counts: dict[str, dict[str, int]] = {}
+    inlinks: dict = {}  # target -> [source, ...], then a tuple
+    dangling = 0
+    for source in ids:
+        counts = outlink_counts[source] = {}
+        for anchor, target in entries[source].outlinks:
+            resolved = resolve[target]
+            akey = keys[anchor]
+            if akey:
+                # A link that resolves nowhere is posted under its raw target.
+                posted = target if resolved is None else resolved
+                tally = postings.get(akey)
+                if tally is None:
+                    postings[akey] = {posted: 1}
+                else:
+                    tally[posted] = tally.get(posted, 0) + 1
+            if resolved is None:
+                dangling += 1
+            elif resolved in counts:
+                counts[resolved] += 1
             else:
-                plist.append((target, count))
-    for plist in postings.values():
-        if len(plist) > 1:
-            plist.sort(key=_posting_order)
-
-    outlink_counts: dict[str, dict[str, int]] = {eid: {} for eid in ids}
-    inlinks: dict[str, set[str]] = {}
-    sources = chain.from_iterable(map(repeat, ids, map(len, outlinks)))
-    # Nearly every (source, target) pair is distinct, so counting them in
-    # place beats a Counter of pairs, and holds no pair.
-    for source, target in zip(sources, resolved):
-        if target is not None:
-            counts = outlink_counts[source]
-            if target in counts:
-                counts[target] += 1
-                continue
-            counts[target] = 1
-            linked = inlinks.get(target)
-            if linked is None:
-                inlinks[target] = {source}
-            else:
-                linked.add(source)
+                counts[resolved] = 1
+                linked = inlinks.get(resolved)
+                if linked is None:
+                    inlinks[resolved] = [source]
+                else:
+                    linked.append(source)
+    # Replaced in place: each tally or list is freed as its value replaces it.
+    for akey, tally in postings.items():
+        postings[akey] = sorted(tally.items(), key=_posting_order)
+    for target, linked in inlinks.items():
+        inlinks[target] = tuple(linked)
 
     return AnchorIndex(
         entries=entries,
         postings=postings,
-        inlinks={eid: frozenset(linked) for eid, linked in inlinks.items()},
+        inlinks=inlinks,
         redirect_map=redirect_map,
         outlink_counts=outlink_counts,
-        dangling_links=resolved.count(None),
+        dangling_links=dangling,
     )
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with `function(key)`, called once per key."""
+
+    def __init__(self, function: Callable):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
 
 
 def _posting_order(entry: tuple[str, int]) -> tuple[int, str]:

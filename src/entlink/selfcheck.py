@@ -202,7 +202,7 @@ def index_oracle(entries) -> dict:
     resolved_links = [(src, t) for src, _, t, ok in links if ok]
     return {
         "postings": postings,
-        "inlinks": {t: frozenset(src for src, u in resolved_links if u == t) for _, t in resolved_links},
+        "inlinks": {t: tuple(sorted({src for src, u in resolved_links if u == t})) for _, t in resolved_links},
         "outlink_counts": {
             eid: {t: resolved_links.count((eid, t)) for src, t in resolved_links if src == eid} for eid in by_id
         },

@@ -1,6 +1,8 @@
 """Feature-function tests against hand-computed values on small KBs."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from entlink.features import (
 from entlink.fixtures import doc_from_spans, home_depot_document, toy_documents, toy_index, toy_kb_entries
 from entlink.kb_store import NIL, Candidate, KbEntry, build_index
 from entlink.segmenter import connected_components
-from entlink.text_vsm import cosine, term_freq, tokenize
+from entlink.text_vsm import cosine, term_freq, tokenize, words
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +206,62 @@ class TestMentionEntityFeatures:
         assert feature(extractor, vec, "category_freq_ctx") >= 1.0
         # the category phrase does not occur inside the mention surface itself
         assert feature(extractor, vec, "category_freq_text") == 0.0
+
+
+def test_non_ascii_pages_share_one_object_per_token():
+    """A CJK page and an accented Latin page that share tokens hold each
+    distinct token as one object, words unchanged, and their feature rows
+    equal those of extractors that derive each page alone."""
+    entries = [
+        KbEntry(id="TOKYO", title="東京", text="東京は日本の首都。東京の café と Tōkyō Café"),
+        KbEntry(id="CAFE", title="Café Tōkyō", text="Café Tōkyō serves café au lait near 東京, café Tōkyō"),
+    ]
+    index = build_index(entries)
+    doc = doc_from_spans("d", "Café Tōkyō in 東京 serves café", [("m", "Café Tōkyō", None)])
+    mention = doc.mentions[0]
+    extractor = FeatureExtractor(index)
+    view = extractor.document_view(doc)
+    rows = [extractor.mention_entity_features(mention, Candidate(e.id, 0.5), view) for e in entries]
+    pages = [extractor._data(e.id).words for e in entries]
+    for entry, page in zip(entries, pages):
+        assert page == words(entry.text)
+    tokens = [t for page in pages for t in page]
+    assert len(tokens) > len(set(tokens))
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+    for entry, row in zip(entries, rows):
+        alone = FeatureExtractor(index)
+        expected = alone.mention_entity_features(mention, Candidate(entry.id, 0.5), alone.document_view(doc))
+        assert np.array_equal(row, expected)
+
+
+def test_threads_sharing_an_extractor_share_its_page_tokens():
+    """Threads that derive pages through one extractor at once, as
+    `link --jobs` does, still leave one object per distinct page token."""
+    rng = random.Random(5)
+    han = [chr(0x4E00 + i) for i in range(40)]
+    entries = [KbEntry(id=f"E{i}", title=f"E{i}", text="".join(rng.choices(han, k=300))) for i in range(24)]
+    extractor = FeatureExtractor(build_index(entries))
+    ids = [e.id for e in entries]
+
+    def derive(seed):
+        for eid in random.Random(seed).sample(ids, len(ids)):
+            extractor._data(eid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=derive, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    pages = [extractor._data(e.id).words for e in entries]
+    assert pages == [words(e.text) for e in entries]
+    tokens = [t for page in pages for t in page]
+    assert len({id(t) for t in tokens}) == len(set(tokens)) == len(han)
 
 
 _REL_WORDS = ["ab", "cd", "ef", "gh"]
