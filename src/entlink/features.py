@@ -200,12 +200,10 @@ class _EntityData:
         entries = index.entries
         entry = entries[eid]
         name_words = extractor._name_words
+        # Page tokens repeat within and across pages (a CJK page has one per
+        # character), so the words hold the table's one object per token.
         seq = words(entry.text)
-        # A non-ASCII page's tokens (a CJK page has one per character) repeat
-        # within and across pages, so its words are the table's one object
-        # per token. An ASCII page's longer tokens would cost more time to
-        # share than they save memory.
-        self.words = seq if entry.text.isascii() else tuple(map(extractor._page_tokens.setdefault, seq, seq))
+        self.words = tuple(map(extractor._page_tokens.setdefault, seq, seq))
         self.text_vec = term_freq(self.words)
         self.top_vec = top_terms(self.text_vec, extractor.top_n)
         # page context vectors, keyed by the normalized surface they centre on
@@ -267,9 +265,9 @@ class FeatureExtractor:
     norms, page context windows, the words of its relation names), the words
     of each KB title, category and redirect it reads (acronyms and the
     category-title relation are computed from these where they are read),
-    and each candidate pair's pair features. Its non-ASCII pages share one
-    token table, which holds each distinct token once (a CJK page is one
-    token per character) and goes with the extractor. Every cache, the
+    and each candidate pair's pair features. Its pages share one token
+    table, which holds each distinct token once (a CJK page is one token
+    per character) and goes with the extractor. Every cache, the
     name-words one and the token table included, is write-once per key with
     idempotent values (the table is filled by `setdefault`), so a built
     extractor may be shared by concurrent readers (`link --jobs`).
@@ -297,7 +295,7 @@ class FeatureExtractor:
         self._pair_idx = {self.registry.names[i]: j for j, i in enumerate(self.registry.pair_indices)}
         self._entity_data: dict[str, _EntityData] = {}
         self._kb_name_words: dict[str, tuple[str, ...]] = {}
-        self._page_tokens: dict[str, str] = {}  # each token of a non-ASCII page, the one object its pages hold
+        self._page_tokens: dict[str, str] = {}  # each page token, the one object its pages hold
         self._pair_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def document_view(self, doc: MentionDocument) -> DocumentView:

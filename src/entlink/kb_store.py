@@ -37,6 +37,7 @@ from collections import Counter, defaultdict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -353,14 +354,14 @@ def _collector_paused() -> Iterator[bool]:
 def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     """`build_index` itself, which runs it with the collector paused.
 
-    After the redirect map, one pass over the entries in id order derives
-    the rest, holding no second copy of the links: each link's target is
-    resolved once per distinct target and its anchor normalized once per
-    distinct anchor (`_Memo`), each normalized anchor counts its postings in
-    a small dict, replaced by its sorted list at the end, and each page
-    counts its outlinks in place. A page joins a target's inlinks at its
-    first link there, so with the ids in order each tuple of inlinks comes
-    out sorted, with no duplicates.
+    Each distinct title, alias and anchor is normalized once, and each
+    distinct link target resolved once (`functools.cache`). After the
+    redirect map, one pass over the entries in id order derives the rest,
+    holding no second copy of the links: each normalized anchor counts its
+    postings in a small dict, replaced by its sorted list at the end, and
+    each page counts its outlinks in place. A page joins a target's inlinks
+    at its first link there, so with the ids in order each tuple of inlinks
+    comes out sorted, with no duplicates.
     """
     entries: dict[str, KbEntry] = {}
     for record in kb_records:
@@ -371,18 +372,18 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
         entries[record.id] = record
     ids = sorted(entries)
 
+    keys = cache(normalize_name)
     # Titles claim normalized names first, then redirects; within each pass
     # the smallest entity id wins, which makes the map order-independent.
     redirect_map: dict[str, str] = {}
     for eid in ids:
-        redirect_map.setdefault(normalize_name(entries[eid].title), eid)
+        redirect_map.setdefault(keys(entries[eid].title), eid)
     for eid in ids:
         for alias in entries[eid].redirects:
-            redirect_map.setdefault(normalize_name(alias), eid)
+            redirect_map.setdefault(keys(alias), eid)
     redirect_map.pop("", None)
 
-    keys = _Memo(normalize_name)
-    resolve = _Memo(lambda target: target if target in entries else redirect_map.get(keys[target]))
+    resolve = cache(lambda target: target if target in entries else redirect_map.get(keys(target)))
     postings: dict = {}  # normalized anchor -> {posted target: count}, then its sorted list
     outlink_counts: dict[str, dict[str, int]] = {}
     inlinks: dict = {}  # target -> [source, ...], then a tuple
@@ -390,8 +391,8 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
     for source in ids:
         counts = outlink_counts[source] = {}
         for anchor, target in entries[source].outlinks:
-            resolved = resolve[target]
-            akey = keys[anchor]
+            resolved = resolve(target)
+            akey = keys(anchor)
             if akey:
                 # A link that resolves nowhere is posted under its raw target.
                 posted = target if resolved is None else resolved
@@ -425,18 +426,6 @@ def _aggregate(kb_records: Iterable[KbEntry]) -> AnchorIndex:
         outlink_counts=outlink_counts,
         dangling_links=dangling,
     )
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with `function(key)`, called once per key."""
-
-    def __init__(self, function: Callable):
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, key):
-        value = self[key] = self.function(key)
-        return value
 
 
 def _posting_order(entry: tuple[str, int]) -> tuple[int, str]:
