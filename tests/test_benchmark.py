@@ -29,14 +29,17 @@ MUST_COUNT = (
 )
 
 
-@pytest.mark.parametrize("workload", ["bulk", "collective"])
-def test_benchmark_smoke_run_is_correct(tmp_path, workload):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(workload, trace, id=workload if trace == "1" else f"{workload}-untraced")
+    for trace in ("1", "0") for workload in ("bulk", "collective")
+])
+def test_benchmark_smoke_run_is_correct(tmp_path, workload, trace):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("runs"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "1", "--trace", "1", "--smoke"],
+         "--seconds", "1", "--trace", trace, "--smoke"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -44,6 +47,8 @@ def test_benchmark_smoke_run_is_correct(tmp_path, workload):
     assert result["correct"] is True, proc.stderr[-2000:]
     assert result["failed"] == 0, proc.stderr[-2000:]
     assert [name for name, m in result["metrics"].items() if m["value"] is None] == []
+    if trace == "0":
+        return
     assert [name for name in MUST_COUNT if not result["metrics"][name]["value"] > 0] == []
     prefix = "perfbench: not in this version of entlink, so not traced: "
     untraced = [line[len(prefix):].split(", ") for line in proc.stderr.splitlines() if line.startswith(prefix)]

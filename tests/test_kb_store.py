@@ -8,6 +8,7 @@ import re
 import struct
 import tracemalloc
 import zlib
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -28,6 +29,7 @@ from entlink.kb_store import (
     load_kb_jsonl,
     normalize_name,
 )
+from entlink.text_vsm import words as text_words
 
 
 def titanic_entries():
@@ -434,13 +436,14 @@ class TestFastSearch:
     def test_subword_lookup_matches_the_oracle(self, anchors, query):
         """Anchors built from a few words, some repeated or wordless, so that
         subsets and supersets of a query abound; an anchor that repeats a
-        word is listed once under it."""
+        word is listed once under it, and its word count counts it once."""
         links = tuple((" ".join(words), target) for words, target in anchors)
         index = build_index([KbEntry(id="S", title="S", text="", outlinks=links)])
         key = normalize_name(" ".join(query))
         assert index.lookup(" ".join(query)) == (index.postings.get(key) or subword_oracle(index.postings, key))
-        for listed in index._token_to_anchors.values():
-            assert len(set(listed)) == len(listed)
+        listed = Counter((word, anchor) for word, holders in index._word_anchors.items() for anchor in holders)
+        assert listed == Counter((word, anchor) for anchor in index.postings for word in set(text_words(anchor)))
+        assert index._word_counts == {anchor: len(set(text_words(anchor))) for anchor in index.postings}
 
     def test_monotone_in_k(self):
         index = toy_index()
